@@ -38,13 +38,11 @@ METHOD_FLAGS = {"robin": "robin", "omega": "omega", "reduce": "reduce", "closed-
 
 
 def _tolerance_from(args) -> TolerancePolicy:
-    rank = args.tol_rank
-    residual = args.tol_residual
-    if rank is None:
-        rank = float(os.environ.get("LAGIDX_TOL_RANK", TolerancePolicy().rank_rel_tol))
-    if residual is None:
-        residual = float(os.environ.get("LAGIDX_TOL_RESIDUAL", TolerancePolicy().residual_tol))
-    return TolerancePolicy(rank_rel_tol=rank, residual_tol=residual)
+    given = {
+        "rank_rel_tol": os.environ.get("LAGIDX_TOL_RANK") if args.tol_rank is None else args.tol_rank,
+        "residual_tol": os.environ.get("LAGIDX_TOL_RESIDUAL") if args.tol_residual is None else args.tol_residual,
+    }
+    return TolerancePolicy(**{name: float(v) for name, v in given.items() if v is not None})
 
 
 def _add_common(parser):

@@ -68,7 +68,9 @@ class Document:
         if not isinstance(objects, dict):
             raise ValidationError("document needs an 'objects' mapping")
         for name, entry in objects.items():
-            if not isinstance(entry, dict) or entry.get("type") not in OBJECT_TYPES:
+            if not isinstance(entry, dict):
+                raise ValidationError(f"object {name!r} must be a JSON object")
+            if entry.get("type") not in OBJECT_TYPES:
                 raise ValidationError(f"object {name!r} has unknown type {entry.get('type')!r}")
             self._build(name)
 
@@ -133,15 +135,20 @@ class Document:
         frames = entry.get("frames")
         if not isinstance(grid, list) or not isinstance(frames, list) or len(grid) != len(frames):
             raise ValidationError(f"custom path {name!r} needs matching 'grid' and 'frames' lists")
-        if len(grid) < 2 or grid[0] != 0.0 or grid[-1] != 1.0 or any(
-                b <= a for a, b in zip(grid, grid[1:])):
-            raise ValidationError(f"custom path {name!r} grid must increase from 0.0 to 1.0")
+        if not all(isinstance(t, (int, float)) and 0.0 <= t <= 1.0 for t in grid):
+            raise ValidationError(f"custom path {name!r} grid must hold numbers in [0, 1]")
         ts = np.asarray(grid, dtype=float)
+        if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 or not np.all(np.diff(ts) > 0):
+            raise ValidationError(f"custom path {name!r} grid must increase from 0.0 to 1.0")
         xs, ys = [], []
         for i, f in enumerate(frames):
+            if not isinstance(f, dict):
+                raise ValidationError(f"{name}.frames[{i}] must be a JSON object")
             x = decode_matrix(f.get("x"), f"{name}.frames[{i}].x")
             y = decode_matrix(f.get("y"), f"{name}.frames[{i}].y")
             validate_frame(x, y, self.tol)
+            if xs and x.shape != xs[0].shape:
+                raise ValidationError(f"{name}.frames[{i}] has shape {x.shape}, expected {xs[0].shape}")
             xs.append(x)
             ys.append(y)
         xs = np.stack(xs)
@@ -196,14 +203,6 @@ def hermitian_entry(m) -> dict:
 
 def plane_entry(plane: LagrangianPlane) -> dict:
     return {"type": "plane", "x": encode_matrix(plane.x), "y": encode_matrix(plane.y)}
-
-
-def frame_entry(x, y) -> dict:
-    return {"type": "frame", "x": encode_matrix(x), "y": encode_matrix(y)}
-
-
-def symplectic_entry(m) -> dict:
-    return {"type": "symplectic", "matrix": encode_matrix(m)}
 
 
 def new_document(objects: dict, info: dict | None = None) -> dict:

@@ -1,10 +1,17 @@
 """Numerically robust primitives for complex Hermitian matrices.
 
-All rank and zero-eigenvalue decisions in the package flow through the
-single cutoff rule implemented here: ``rank_rel_tol * max(1, scale)``
-where ``scale`` is a spectral-norm estimate of the matrix at hand.  The
-floor of 1 makes the zero matrix behave sensibly and keeps both sides of
-integer-valued identities on the same footing.
+Every zero/nonzero decision in the package is made here, by two rules:
+
+* the count rule: a value counts as nonzero when it exceeds
+  ``rank_rel_tol * max(1, scale)``, ``scale`` being the largest absolute
+  value in its set.  The floor of 1 makes the zero matrix behave
+  sensibly and keeps both sides of integer identities on one footing;
+* the conditioning rule: a matrix is ill-conditioned when
+  ``s_max / s_min > 1 / rank_rel_tol``.  Without the floor of 1 it
+  differs from the count rule when ``s_max < 1``.
+
+:func:`inertia` validates its input; :func:`trusted_inertia` serves
+matrices the library builds exactly Hermitian itself.
 """
 
 from __future__ import annotations
@@ -96,11 +103,37 @@ def cutoff_for(values: np.ndarray, tol: TolerancePolicy) -> float:
     return tol.rank_rel_tol * max(1.0, scale)
 
 
+def count_above_cutoff(values: np.ndarray, tol: TolerancePolicy) -> int:
+    """The count rule: how many values exceed the cutoff of their set."""
+    return int(np.sum(values > cutoff_for(values, tol)))
+
+
+def ill_conditioned(m: np.ndarray, tol: TolerancePolicy) -> bool:
+    """The conditioning rule: ``s_max / s_min > 1 / rank_rel_tol``."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return s[-1] <= 0.0 or float(s[0] / s[-1]) > 1.0 / tol.rank_rel_tol
+
+
 def eigh_or_raise(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(f"eigh failed for matrix {matrix_hash(h)}") from exc
+
+
+def trusted_inertia(h: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
+    """Inertia without input validation, for matrices that are exactly
+    Hermitian by construction: outputs of ``hermitian_part``,
+    ``as_hermitian`` or the omega form, and their sums and differences."""
+    try:
+        w = np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigendecompositionError(f"eigvalsh failed for matrix {matrix_hash(h)}") from exc
+    if not np.all(np.isfinite(w)):
+        raise ValidationError(f"matrix {matrix_hash(h)} has non-finite eigenvalues")
+    n_minus = count_above_cutoff(-w, tol)
+    n_plus = count_above_cutoff(w, tol)
+    return Inertia(n_minus, h.shape[0] - n_minus - n_plus, n_plus)
 
 
 def inertia(h, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
@@ -111,15 +144,7 @@ def inertia(h, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
     matrices report full nullity and scaling a matrix rescales the band
     with it.
     """
-    m = as_hermitian(h, tol)
-    try:
-        w = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionError(f"eigvalsh failed for matrix {matrix_hash(m)}") from exc
-    cut = cutoff_for(w, tol)
-    n_minus = int(np.sum(w < -cut))
-    n_plus = int(np.sum(w > cut))
-    return Inertia(n_minus, m.shape[0] - n_minus - n_plus, n_plus)
+    return trusted_inertia(as_hermitian(h, tol), tol)
 
 
 def n_minus(h, tol: TolerancePolicy = DEFAULT_TOL) -> int:
@@ -132,8 +157,7 @@ def rank(m, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     a = np.asarray(m, dtype=complex)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > cutoff_for(s, tol)))
+    return count_above_cutoff(np.linalg.svd(a, compute_uv=False), tol)
 
 
 def kernel_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -145,9 +169,7 @@ def kernel_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     if a.ndim != 2:
         raise ValidationError(f"kernel_basis expects a matrix, got shape {a.shape}")
     _, s, vh = np.linalg.svd(a)
-    cut = cutoff_for(s, tol)
-    r = int(np.sum(s > cut))
-    return vh[r:].conj().T
+    return vh[count_above_cutoff(s, tol):].conj().T
 
 
 def pseudoinverse(h, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -177,18 +199,10 @@ def range_projector(h, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return hermitian_part(vr @ vr.conj().T)
 
 
-def range_projector_general(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the column space of a general matrix."""
-    a = np.asarray(m, dtype=complex)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    ur = u[:, s > cutoff_for(s, tol)]
-    return hermitian_part(ur @ ur.conj().T)
-
-
 def inverse_or_raise(h, tol: TolerancePolicy = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     """Inverse of a Hermitian matrix, rejecting numerically singular input."""
     m = as_hermitian(h, tol)
-    if inertia(m, tol).n_zero:
+    if trusted_inertia(m, tol).n_zero:
         raise NotInvertible(f"{what} has a numerical kernel")
     return np.linalg.inv(m)
 

@@ -29,10 +29,12 @@ from .hermitian import (
     Inertia,
     TolerancePolicy,
     as_hermitian,
+    count_above_cutoff,
     cutoff_for,
     hermitian_part,
-    inertia,
     kernel_basis,
+    rank,
+    trusted_inertia,
 )
 from .indices import VerificationRecord, duistermaat_omega
 from .planes import (
@@ -41,7 +43,6 @@ from .planes import (
     intersection_dim,
     plane_from_frame,
     random_plane,
-    validate_frame,
 )
 from .symplectic import standard_form
 
@@ -146,12 +147,6 @@ def reparametrize(path, phi, dphi) -> ReparametrizedPath:
     return ReparametrizedPath(path, phi, dphi)
 
 
-def validate_path(path, tol: TolerancePolicy = DEFAULT_TOL, samples: int = 16) -> None:
-    """Frame validation on a coarse grid; raises on broken frames."""
-    for t in np.linspace(0.0, 1.0, samples):
-        validate_frame(*path.frame_at(float(t)), tol)
-
-
 @dataclass(frozen=True)
 class Crossing:
     """Parameter value where the path meets the reference plane."""
@@ -232,8 +227,7 @@ def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL,
     stack = _pairing_samples(path, m, ts)
     svals = np.linalg.svd(stack, compute_uv=False)
     sig = svals[:, -1]
-    scale = max(1.0, float(svals[:, 0].max()))
-    cut = tol.rank_rel_tol * scale
+    cut = cutoff_for(svals, tol)
     step = ts[1] - ts[0]
     slope = float(np.max(np.abs(np.diff(sig)))) / step if grid > 1 else 0.0
     trigger = max(2.0 * slope * step, 64.0 * cut)
@@ -259,7 +253,7 @@ def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL,
         if sigma_min(t_star) > cut:
             continue
         restricted = crossing_form(path, t_star, m, tol)
-        form_in = inertia(restricted, tol)
+        form_in = trusted_inertia(restricted, tol)
         if form_in.n_zero:
             raise DegenerateCrossing(
                 f"restricted crossing form at t={t_star:.12f} has nullity {form_in.n_zero}")
@@ -297,8 +291,7 @@ def is_nondecreasing(path, tol: TolerancePolicy = DEFAULT_TOL, grid: int = 256) 
         x, y = path.frame_at(float(t))
         xd, yd = path.derivative_at(float(t))
         form = hermitian_part(x.conj().T @ yd - y.conj().T @ xd)
-        w = np.linalg.eigvalsh(form)
-        if w.size and w[0] < -cutoff_for(w, tol):
+        if trusted_inertia(form, tol).n_minus:
             return False
     return True
 
@@ -319,8 +312,7 @@ def _pair_normalization(l0: LagrangianPlane, l1: LagrangianPlane,
     def complement_within(plane: LagrangianPlane) -> np.ndarray:
         resid = plane.stacked - f @ (f.conj().T @ plane.stacked)
         u, s, _ = np.linalg.svd(resid, full_matrices=False)
-        r = int(np.sum(s > cutoff_for(s, tol)))
-        if r != n - k:
+        if count_above_cutoff(s, tol) != n - k:
             raise DualBasisFailure("complement inside the plane has unexpected rank")
         return u[:, : n - k]
 
@@ -328,8 +320,7 @@ def _pair_normalization(l0: LagrangianPlane, l1: LagrangianPlane,
         g = complement_within(l0)
         h = complement_within(l1)
         pairing = g.conj().T @ j @ h
-        s = np.linalg.svd(pairing, compute_uv=False)
-        if s[-1] <= tol.rank_rel_tol * max(1.0, s[0]):
+        if rank(pairing, tol) < n - k:
             raise DualBasisFailure("pairing between plane complements is singular")
         h_dual = h @ np.linalg.inv(pairing)
         a = np.hstack([f, g])

@@ -26,11 +26,13 @@ from .hermitian import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_hermitian,
-    cutoff_for,
+    count_above_cutoff,
     hermitian_part,
-    inertia,
+    ill_conditioned,
     kernel_basis,
     random_hermitian,
+    rank,
+    trusted_inertia,
 )
 from .symplectic import random_symplectic, standard_form, swap_map
 
@@ -82,8 +84,7 @@ def validate_frame(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray
     z = np.vstack([xm, ym])
     if not np.all(np.isfinite(z.view(float))):
         raise ValidationError("frame contains non-finite entries")
-    s = np.linalg.svd(z, compute_uv=False)
-    if int(np.sum(s > cutoff_for(s, tol))) < xm.shape[1]:
+    if rank(z, tol) < xm.shape[1]:
         raise NotInjective("frame columns are numerically dependent")
     lag = xm.conj().T @ ym - ym.conj().T @ xm
     bound = tol.residual_tol * (np.linalg.norm(xm) * np.linalg.norm(ym) + 1.0)
@@ -138,8 +139,7 @@ def pairing_matrix(l1: LagrangianPlane, l2: LagrangianPlane) -> np.ndarray:
 
 def intersection_dim(l1: LagrangianPlane, l2: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """dim(L1 ∩ L2), computed as the nullity of the frame pairing."""
-    s = np.linalg.svd(pairing_matrix(l1, l2), compute_uv=False)
-    return l1.n - int(np.sum(s > cutoff_for(s, tol)))
+    return l1.n - rank(pairing_matrix(l1, l2), tol)
 
 
 def planes_equal(l1: LagrangianPlane, l2: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -166,7 +166,7 @@ def intersection_basis(l1: LagrangianPlane, l2: LagrangianPlane, tol: ToleranceP
         return np.zeros((2 * l1.n, 0), dtype=complex)
     vecs = z1 @ pairs[: l1.n]
     u, s, _ = np.linalg.svd(vecs, full_matrices=False)
-    k = int(np.sum(s > cutoff_for(s, tol)))
+    k = count_above_cutoff(s, tol)
     expected = intersection_dim(l1, l2, tol)
     if k != expected:
         raise ToleranceBreakdown(f"intersection basis rank {k} does not match dimension {expected}")
@@ -179,13 +179,6 @@ def apply_symplectic(s, plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_T
     if sm.shape != (2 * plane.n, 2 * plane.n):
         raise ValidationError(f"map shape {sm.shape} does not match plane dimension {plane.n}")
     return plane_from_stacked(sm @ plane.stacked, tol)
-
-
-def _condition_number(m: np.ndarray) -> float:
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
 
 
 def epsilon_select(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None,
@@ -203,12 +196,11 @@ def epsilon_select(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None,
         raise ValidationError("epsilon_select needs at least one plane")
     rng = np.random.default_rng(seed)
     jitter = rng.uniform(0.9, 1.1, size=max_candidates)
-    bound = 1.0 / tol.rank_rel_tol
     for k in range(1, max_candidates + 1):
         eps = jitter[k - 1] / k
         if any(abs(eps - a) < 1e-9 for a in avoid):
             continue
-        if all(_condition_number(p.x + eps * p.y) <= bound for p in planes):
+        if not any(ill_conditioned(p.x + eps * p.y, tol) for p in planes):
             return float(eps)
     raise SelectionFailed(f"no usable epsilon among {max_candidates} candidates")
 
@@ -223,7 +215,7 @@ def epsilon_small(planes, tol: TolerancePolicy = DEFAULT_TOL, max_halvings: int 
     for _ in range(max_halvings):
         try:
             ok = all(
-                inertia(np.eye(p.n) / eps - robin_map(p, eps, tol).matrix, tol).n_minus == 0
+                trusted_inertia(np.eye(p.n) / eps - robin_map(p, eps, tol).matrix, tol).n_minus == 0
                 for p in planes
             )
         except SingularEpsilon:
@@ -242,7 +234,7 @@ def robin_map(plane: LagrangianPlane, epsilon: float, tol: TolerancePolicy = DEF
     raises SingularEpsilon.
     """
     t = plane.x + epsilon * plane.y
-    if _condition_number(t) > 1.0 / tol.rank_rel_tol:
+    if ill_conditioned(t, tol):
         raise SingularEpsilon(f"cond(X + {epsilon} Y) exceeds 1/rank_rel_tol")
     r = plane.y @ np.linalg.inv(t)
     asym = np.linalg.norm(r - r.conj().T)
@@ -318,7 +310,7 @@ def transversal_normalization(la: LagrangianPlane, lb: LagrangianPlane,
     a = la.stacked
     b = lb.stacked
     pairing = a.conj().T @ j @ b
-    if _condition_number(pairing) > 1.0 / tol.rank_rel_tol:
+    if ill_conditioned(pairing, tol):
         raise DualBasisFailure("pairing matrix between the planes is numerically singular")
     z = np.hstack([a, b @ np.linalg.inv(pairing)])
     residual = np.linalg.norm(z.conj().T @ j @ z - j)

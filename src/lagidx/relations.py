@@ -18,7 +18,7 @@ from .hermitian import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_hermitian,
-    cutoff_for,
+    count_above_cutoff,
     hermitian_part,
     kernel_basis,
     pinv_general,
@@ -43,7 +43,7 @@ def decompose(plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> Rel
     P Y X^+ compressed to the domain and symmetrized.
     """
     u, s, _ = np.linalg.svd(plane.x)
-    r = int(np.sum(s > cutoff_for(s, tol)))
+    r = count_above_cutoff(s, tol)
     ur = u[:, :r]
     p = hermitian_part(ur @ ur.conj().T)
     op = hermitian_part(p @ (plane.y @ pinv_general(plane.x, tol)) @ p)
@@ -80,7 +80,7 @@ def difference(l: LagrangianPlane, m: LagrangianPlane, tol: TolerancePolicy = DE
     s_part, t_part = pairs[:n], pairs[n:]
     vecs = np.vstack([l.x @ s_part, l.y @ s_part - m.y @ t_part])
     u, sv, _ = np.linalg.svd(vecs, full_matrices=False)
-    r = int(np.sum(sv > cutoff_for(sv, tol)))
+    r = count_above_cutoff(sv, tol)
     if r != n:
         raise RankDeficient(f"difference span has rank {r}, expected {n}")
     return plane_from_stacked(u[:, :n], tol)

@@ -9,7 +9,6 @@ anti-symplectic when ``S* J S = -J``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 from .hermitian import DEFAULT_TOL, TolerancePolicy, random_hermitian
@@ -64,6 +63,8 @@ def random_symplectic(n: int, seed=None) -> np.ndarray:
     rescaled to spectral norm <= 1.5 to keep the exponential well
     conditioned.
     """
+    import scipy.linalg  # deferred: most of the package's import time, needed only for expm
+
     rng = np.random.default_rng(seed)
     h = random_hermitian(2 * n, rng)
     norm = np.linalg.norm(h, 2)

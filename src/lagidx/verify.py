@@ -11,6 +11,7 @@ recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .indices import (
     duistermaat_graphs,
     duistermaat_omega,
     duistermaat_reduce,
+    duistermaat_relation_vertical,
     duistermaat_robin,
     haynsworth_check,
     index_via_resolvent_difference,
@@ -199,8 +201,6 @@ def check_inversion(n, rng, tol):
 
 
 def check_berndt_luger(n, rng, tol):
-    from .indices import duistermaat_relation_vertical
-
     a = random_hermitian(n, rng)
     plane = sample_plane(n, rng, tol)
     closed = duistermaat_relation_vertical(a, plane, "graph_first", tol)
@@ -210,8 +210,6 @@ def check_berndt_luger(n, rng, tol):
 
 
 def check_luger_berndt(n, rng, tol):
-    from .indices import duistermaat_relation_vertical
-
     a = random_hermitian(n, rng)
     plane = sample_plane(n, rng, tol)
     closed = duistermaat_relation_vertical(a, plane, "plane_first", tol)
@@ -291,8 +289,6 @@ def check_closed_form_graphs(n, rng, tol):
 
 
 def check_truth_table(n, rng, tol):
-    from itertools import permutations
-
     expected = {
         (0.0, 1.0, 2.0): 0, (1.0, 2.0, 0.0): 0, (2.0, 0.0, 1.0): 0,
         (0.0, 2.0, 1.0): 1, (1.0, 0.0, 2.0): 1, (2.0, 1.0, 0.0): 1,

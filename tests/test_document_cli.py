@@ -44,6 +44,22 @@ def test_loader_rejects_duplicate_names():
         doc.loads(text)
 
 
+def custom_path_document(grid, frames) -> dict:
+    return doc.new_document({"p": {"type": "path", "kind": "custom", "grid": grid, "frames": frames}})
+
+
+def malformed_documents() -> list:
+    """Documents whose structure, not whose numbers, is wrong."""
+    eye = {"x": doc.encode_matrix(np.eye(1)), "y": doc.encode_matrix(np.zeros((1, 1)))}
+    eye2 = {"x": doc.encode_matrix(np.eye(2)), "y": doc.encode_matrix(np.zeros((2, 2)))}
+    return [
+        doc.new_document({"A": [1, 2]}),                       # entry is not an object
+        custom_path_document([0.0, 1.0], [[1], [2]]),          # frames are not objects
+        custom_path_document([0.0, "half", 1.0], [eye] * 3),   # grid is not numeric
+        custom_path_document([0.0, 1.0], [eye, eye2]),         # knots differ in size
+    ]
+
+
 def test_loader_validates_planes():
     bad = {"schema_version": "1",
            "objects": {"L": {"type": "plane",
@@ -55,6 +71,9 @@ def test_loader_validates_planes():
         doc.loads(json.dumps({"schema_version": "99", "objects": {}}))
     with pytest.raises(ValidationError):
         doc.loads("not json at all {")
+    for raw in malformed_documents():
+        with pytest.raises(ValidationError):
+            doc.loads(json.dumps(raw))
 
 
 def test_document_accessors(sample_doc, tol):
@@ -117,6 +136,10 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert main(["index", "--input", str(bad), "--planes", "L", "L", "L"]) == 2
     assert main(["index", "--input", str(tmp_path / "missing.json"),
                  "--planes", "a", "b", "c"]) == 2
+    for i, raw in enumerate(malformed_documents()):
+        bad = tmp_path / f"malformed{i}.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["maslov", "--input", str(bad), "--path", "p", "--reference", "M"]) == 2
 
 
 def test_cli_relation_round_trip(sample_doc, tmp_path, capsys):

@@ -13,13 +13,20 @@ from lagidx import (
     range_projector,
     rank,
 )
-from lagidx.hermitian import as_hermitian, hermitian_part, pinv_general
+from lagidx.hermitian import as_hermitian, hermitian_part, ill_conditioned, pinv_general
+
+# With rank_rel_tol = 1e-9 and largest value 1, the count rule's cutoff is
+# exactly 1e-9: a value at the cutoff is zero, the next double above is not.
+AT_CUTOFF = 1e-9
+ABOVE_CUTOFF = np.nextafter(1e-9, 1.0)
 
 
 @pytest.mark.parametrize("matrix, expected", [
     (np.diag([1.0, -1.0, 0.0]), (1, 1, 1)),
     (np.eye(4), (0, 0, 4)),
     (np.array([[0.0, 1.0], [1.0, 0.0]]), (1, 0, 1)),
+    (np.diag([1.0, AT_CUTOFF, -AT_CUTOFF]), (0, 2, 1)),
+    (np.diag([1.0, ABOVE_CUTOFF, -ABOVE_CUTOFF]), (1, 0, 2)),
 ])
 def test_inertia_examples(matrix, expected):
     assert inertia(matrix).as_tuple() == expected
@@ -53,6 +60,8 @@ def test_sylvester_invariance(rng):
 def test_kernel_basis_examples(tol):
     assert kernel_basis(np.zeros((2, 2))).shape == (2, 2)
     assert kernel_basis(np.eye(3)).shape == (3, 0)
+    assert kernel_basis(np.diag([1.0, AT_CUTOFF])).shape == (2, 1)
+    assert kernel_basis(np.diag([1.0, ABOVE_CUTOFF])).shape == (2, 0)
     k = kernel_basis(np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert k.shape == (2, 1)
     expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -120,6 +129,13 @@ def test_rank(tol):
     assert rank(np.zeros((3, 3)), tol) == 0
     assert rank(np.eye(3), tol) == 3
     assert rank(np.array([[1.0, 1.0], [1.0, 1.0]]), tol) == 1
+    assert rank(np.diag([1.0, AT_CUTOFF]), tol) == 1
+    assert rank(np.diag([1.0, ABOVE_CUTOFF]), tol) == 2
+    # The conditioning rule has no floor of 1: cond = 0.5 / 6e-10 < 1e9
+    # passes it, while the count rule's cutoff stays 1e-9 and drops 6e-10.
+    small = np.diag([0.5, 6e-10])
+    assert not ill_conditioned(small, tol)
+    assert rank(small, tol) == 1
 
 
 def test_tolerance_policy_validation():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from lagidx import (
+    LagidxError,
+    LagrangianPlane,
     NotInvertible,
     TransversalityViolated,
     coboundary,
@@ -205,3 +207,14 @@ def test_haynsworth():
 def test_index_report_bounds_guard(rng):
     report = duistermaat_omega(*(random_plane(4, rng) for _ in range(3)))
     assert 0 <= report.value <= 4
+    # A plane built directly, past the validating constructors, with a
+    # NaN entry: the index is replaced by a typed error, never a value.
+    good = random_plane(2, rng)
+    x = good.x.copy()
+    x[0, 0] = np.nan
+    broken = LagrangianPlane(x, good.y)
+    others = (random_plane(2, rng), random_plane(2, rng))
+    with pytest.raises(LagidxError):
+        duistermaat_omega(broken, *others)
+    with pytest.raises(LagidxError):
+        kashiwara(*others, broken)

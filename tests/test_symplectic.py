@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import lagidx
 
 from lagidx import (
     ValidationError,
@@ -94,3 +100,13 @@ def test_direct_sums(rng):
     assert np.allclose(direct_sum_maps(swap_map(1), swap_map(2)), swap_map(3))
     s = direct_sum_maps(random_symplectic(2, rng), random_symplectic(3, rng))
     assert is_symplectic(s)
+
+
+def test_import_does_not_load_scipy_linalg():
+    # A fresh interpreter, so modules imported by other tests do not count.
+    src = os.path.dirname(os.path.dirname(lagidx.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, lagidx; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
