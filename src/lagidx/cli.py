@@ -141,7 +141,7 @@ def _cmd_maslov(args) -> int:
     document = doc.load(args.input, tol)
     path = document.path(args.path)
     reference = document.plane(args.reference)
-    crossings = find_crossings(path, reference, tol, args.grid)
+    crossings = find_crossings(path, reference, tol)
     value = index_from_crossings(crossings)
     payload = {
         "index": value,
@@ -220,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mas.add_argument("--input", required=True)
     p_mas.add_argument("--path", required=True)
     p_mas.add_argument("--reference", required=True)
-    p_mas.add_argument("--grid", type=int, default=2048)
     _add_common(p_mas)
     p_mas.set_defaults(fn=_cmd_maslov)
 

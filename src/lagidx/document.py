@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hermitian import DEFAULT_TOL, TolerancePolicy, as_hermitian
-from .maslov import CustomPath, graph_segment, scaled_projector_path
+from .maslov import PiecewiseLinearPath, graph_segment, scaled_projector_path
 from .planes import LagrangianPlane, plane_from_frame, validate_frame
 from .symplectic import is_symplectic
 
@@ -151,18 +151,7 @@ class Document:
                 raise ValidationError(f"{name}.frames[{i}] has shape {x.shape}, expected {xs[0].shape}")
             xs.append(x)
             ys.append(y)
-        xs = np.stack(xs)
-        ys = np.stack(ys)
-        n = xs.shape[1]
-
-        def frame_fn(t: float):
-            # Entrywise linear interpolation between the sampled frames.
-            k = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
-            w = (t - ts[k]) / (ts[k + 1] - ts[k])
-            return ((1 - w) * xs[k] + w * xs[k + 1],
-                    (1 - w) * ys[k] + w * ys[k + 1])
-
-        return CustomPath(frame_fn, n, kind="custom")
+        return PiecewiseLinearPath(ts, np.stack(xs), np.stack(ys))
 
 
 def _reject_duplicate_keys(pairs):

@@ -9,6 +9,14 @@ make the index additive under concatenation of paths.
 Only regular paths are supported: at every crossing the restricted form
 must be nondegenerate, otherwise DegenerateCrossing is raised rather than
 silently perturbing the data.
+
+Crossings are found exactly wherever the path is linear in its frame.  On
+each linear piece the pairing with the reference plane is a matrix pencil
+K(t) = K(s0) + (t - s0) K1, so the crossings are the real roots of
+det K(t): one eigenvalue solve per piece (Robbin and Salamon, "The Maslov
+index for paths", Topology 32, 1993, for crossing forms).  Linear paths,
+piecewise-linear paths and their reparametrizations take this route;
+only paths given by a frame callable fall back to a sampled grid.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .hermitian import (
     count_above_cutoff,
     cutoff_for,
     hermitian_part,
+    ill_conditioned,
     kernel_basis,
     rank,
     trusted_inertia,
@@ -49,6 +58,9 @@ from .symplectic import standard_form
 _REFINE_WIDTH = 1e-12
 _CLUSTER_WIDTH = 1e-9
 _ENDPOINT_TOL = 1e-9
+# Golden-section ratio: step of the bracketed minimization, and the
+# rotation that spreads the pencil's probe shifts over a piece.
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class LinearFramePath:
@@ -68,6 +80,49 @@ class LinearFramePath:
     def derivative_at(self, t: float):
         return self.x1, self.y1
 
+    def pieces(self):
+        """Linear pieces (lo, hi, x, y, xd, yd): on [lo, hi] the frame is
+        (x + (t - lo) xd; y + (t - lo) yd)."""
+        return [(0.0, 1.0, self.x0, self.y0, self.x1, self.y1)]
+
+
+class PiecewiseLinearPath:
+    """Frames interpolated linearly between knots 0 = t_0 < ... < t_m = 1.
+
+    The derivative is exact on each piece; at an interior knot
+    ``derivative_at`` returns the one of the piece to its right.
+    """
+
+    kind = "custom"
+
+    def __init__(self, knots, xs, ys):
+        self.knots = np.asarray(knots, dtype=float)
+        self.xs = np.asarray(xs, dtype=complex)
+        self.ys = np.asarray(ys, dtype=complex)
+        self.n = self.xs.shape[1]
+        h = np.diff(self.knots)[:, None, None]
+        self._xd = np.diff(self.xs, axis=0) / h
+        self._yd = np.diff(self.ys, axis=0) / h
+
+    def _piece(self, t: float) -> int:
+        return int(np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, len(self.knots) - 2))
+
+    def frame_at(self, t: float):
+        k = self._piece(t)
+        w = (t - self.knots[k]) / (self.knots[k + 1] - self.knots[k])
+        return ((1 - w) * self.xs[k] + w * self.xs[k + 1],
+                (1 - w) * self.ys[k] + w * self.ys[k + 1])
+
+    def derivative_at(self, t: float):
+        k = self._piece(t)
+        return self._xd[k], self._yd[k]
+
+    def pieces(self):
+        """Linear pieces (lo, hi, x, y, xd, yd), one per pair of knots."""
+        return [(float(self.knots[k]), float(self.knots[k + 1]),
+                 self.xs[k], self.ys[k], self._xd[k], self._yd[k])
+                for k in range(len(self.knots) - 1)]
+
 
 class CustomPath:
     """Path from a user-supplied frame function.
@@ -76,13 +131,13 @@ class CustomPath:
     with the given step are used; accuracy is limited accordingly.
     """
 
-    def __init__(self, frame_fn, n: int, derivative_fn=None, fd_step: float = 1e-6,
-                 kind: str = "custom"):
+    kind = "custom"
+
+    def __init__(self, frame_fn, n: int, derivative_fn=None, fd_step: float = 1e-6):
         self._frame_fn = frame_fn
         self._derivative_fn = derivative_fn
         self._fd_step = fd_step
         self.n = n
-        self.kind = kind
 
     def frame_at(self, t: float):
         x, y = self._frame_fn(t)
@@ -143,7 +198,13 @@ def custom_path(frame_fn, n: int, derivative_fn=None, fd_step: float = 1e-6) -> 
 
 
 def reparametrize(path, phi, dphi) -> ReparametrizedPath:
-    """Precompose a path with a smooth increasing bijection of [0, 1]."""
+    """Precompose a path with a smooth increasing bijection of [0, 1].
+
+    Crossings are found on the base path and mapped back through phi, so
+    phi must fix both ends; a reversing schedule is rejected.
+    """
+    if abs(phi(0.0)) > DEFAULT_TOL.residual_tol or abs(phi(1.0) - 1.0) > DEFAULT_TOL.residual_tol:
+        raise ValidationError("reparametrize needs phi(0) = 0 and phi(1) = 1")
     return ReparametrizedPath(path, phi, dphi)
 
 
@@ -161,21 +222,8 @@ def _pairing_at(path, m: LagrangianPlane, t: float) -> np.ndarray:
     return m.x.conj().T @ y - m.y.conj().T @ x
 
 
-def _pairing_samples(path, m: LagrangianPlane, ts: np.ndarray) -> np.ndarray:
-    """Stack of pairing matrices K(t) over the sample grid."""
-    mxh, myh = m.x.conj().T, m.y.conj().T
-    if isinstance(path, LinearFramePath):
-        k0 = mxh @ path.y0 - myh @ path.x0
-        k1 = mxh @ path.y1 - myh @ path.x1
-        return k0[None, :, :] + ts[:, None, None] * k1[None, :, :]
-    if isinstance(path, ReparametrizedPath):
-        mapped = np.array([path.phi(float(t)) for t in ts])
-        return _pairing_samples(path.base, m, mapped)
-    return np.stack([_pairing_at(path, m, float(t)) for t in ts])
-
-
 def _golden_minimize(f, lo: float, hi: float, width: float = _REFINE_WIDTH) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    invphi = _GOLDEN
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -192,6 +240,11 @@ def _golden_minimize(f, lo: float, hi: float, width: float = _REFINE_WIDTH) -> f
     return 0.5 * (a + b)
 
 
+def _restricted_form(basis: np.ndarray, x, y, xd, yd) -> np.ndarray:
+    form = hermitian_part(x.conj().T @ yd - y.conj().T @ xd)
+    return hermitian_part(basis.conj().T @ form @ basis)
+
+
 def crossing_form(path, t0: float, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Crossing form at t0 restricted to the intersection with the
     reference plane, in the moving frame's kernel coordinates.
@@ -200,31 +253,148 @@ def crossing_form(path, t0: float, m: LagrangianPlane, tol: TolerancePolicy = DE
     """
     if path.n != m.n:
         raise ValidationError("path and reference plane dimensions differ")
-    k = _pairing_at(path, m, t0)
-    basis = kernel_basis(k, tol)
+    basis = kernel_basis(_pairing_at(path, m, t0), tol)
     if basis.shape[1] == 0:
         raise NoCrossing(f"no intersection with the reference plane at t={t0}")
-    x, y = path.frame_at(t0)
-    xd, yd = path.derivative_at(t0)
-    form = hermitian_part(x.conj().T @ yd - y.conj().T @ xd)
-    return hermitian_part(basis.conj().T @ form @ basis)
+    return _restricted_form(basis, *path.frame_at(t0), *path.derivative_at(t0))
 
 
 def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL,
                    grid: int = 2048) -> list[Crossing]:
     """Locate all crossings of a regular path with the reference plane.
 
-    The smallest singular value of the pairing K(t) is sampled on a dense
-    grid; every plausible valley is refined by bracketed minimization to
-    width 1e-12 and accepted as a crossing when the refined value falls
-    under the rank cutoff.  Degenerate restricted forms raise
-    DegenerateCrossing; two crossings closer than 1e-9 raise
-    UnresolvedCluster instead of being merged.
+    Linear and piecewise-linear paths, and reparametrizations of either,
+    are solved exactly: on each linear piece the crossings are the real
+    roots of the pairing pencil K(t) = K(s0) + (t - s0) K1, taken from the
+    eigenvalues of K(s0)^-1 K1.  A root counts as a crossing only where
+    ``kernel_basis`` finds a nontrivial intersection, and k roots within
+    1e-9 of each other must meet an intersection of dimension k, else
+    UnresolvedCluster is raised.  A root within 1e-9 of a piece end is
+    placed on it; a crossing at an interior knot is recorded once when the
+    restricted forms of the pieces on both sides have equal inertia, and
+    raises DegenerateCrossing otherwise.  A pairing that is singular on a
+    whole piece raises DegenerateCrossing.
+
+    Paths given by a frame callable are sampled instead: the smallest
+    singular value of K(t) on ``grid`` points, each plausible valley
+    refined by bracketed minimization to width 1e-12.  Crossings closer
+    than the grid spacing may be missed there.
+
+    Degenerate restricted forms raise DegenerateCrossing; two crossings
+    closer than 1e-9 raise UnresolvedCluster instead of being merged.
     """
     if path.n != m.n:
         raise ValidationError("path and reference plane dimensions differ")
+    return _crossings(path, m, tol, grid)
+
+
+def _crossings(path, m: LagrangianPlane, tol: TolerancePolicy, grid: int) -> list[Crossing]:
+    if isinstance(path, ReparametrizedPath):
+        # The crossing form is phi'(t) > 0 times the base form, so only
+        # the parameter changes.
+        return [Crossing(_schedule_inverse(path.phi, c.t), c.dim, c.form_inertia)
+                for c in _crossings(path.base, m, tol, grid)]
+    if isinstance(path, (LinearFramePath, PiecewiseLinearPath)):
+        return _pencil_crossings(path, m, tol)
+    return _grid_crossings(path, m, tol, grid)
+
+
+def _schedule_inverse(phi, s: float) -> float:
+    """The t in [0, 1] with phi(t) = s, by bisection on an increasing phi
+    with phi(0) = 0 and phi(1) = 1."""
+    if s <= 0.0:
+        return 0.0
+    if s >= 1.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    mid = 0.5
+    while lo < mid < hi:
+        if phi(mid) < s:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+def _root_clusters(roots: np.ndarray) -> list[np.ndarray]:
+    """Roots joined by chains of distances under 1e-9."""
+    label = np.arange(len(roots))
+    near = np.abs(roots[:, None] - roots[None, :]) < _CLUSTER_WIDTH
+    for i, j in zip(*np.nonzero(np.triu(near, 1))):
+        label[label == label[j]] = label[i]
+    return [roots[label == v] for v in np.unique(label)]
+
+
+def _pencil_roots(ka: np.ndarray, kd: np.ndarray, lo: float, hi: float,
+                  tol: TolerancePolicy) -> list[tuple[float, int]]:
+    """Root clusters of det(ka + (t - lo) kd) near [lo, hi], as (t, size)
+    pairs: t is the mean real part, placed on a piece end within 1e-9.
+
+    The shift s0 is the first of n + 1 fixed points inside the piece where
+    the pairing is well conditioned.  A regular pencil has at most n
+    roots, so when every probe fails det K vanishes identically.
+    """
+    n = ka.shape[0]
+    for frac in np.arange(1, n + 2) * _GOLDEN % 1.0:
+        s0 = lo + frac * (hi - lo)
+        k0 = ka + (s0 - lo) * kd
+        if not ill_conditioned(k0, tol):
+            break
+    else:
+        raise DegenerateCrossing(
+            f"pairing with the reference plane is singular on all of [{lo:.12f}, {hi:.12f}]")
+    lam = np.linalg.eigvals(np.linalg.solve(k0, kd))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        roots = s0 - 1.0 / lam
+    found = []
+    for cluster in _root_clusters(roots[np.isfinite(roots)]):
+        t = float(np.mean(cluster.real))
+        if lo - _ENDPOINT_TOL <= t <= hi + _ENDPOINT_TOL:
+            t = lo if t - lo <= _ENDPOINT_TOL else hi if hi - t <= _ENDPOINT_TOL else t
+            found.append((t, len(cluster)))
+    return found
+
+
+def _pencil_crossings(path, m: LagrangianPlane, tol: TolerancePolicy) -> list[Crossing]:
+    mxh, myh = m.x.conj().T, m.y.conj().T
+    pieces = path.pieces()
+    # Cluster sizes by parameter; a knot collects one from each side.
+    clusters: dict[float, list[int]] = {}
+    for lo, hi, x, y, xd, yd in pieces:
+        for t, size in _pencil_roots(mxh @ y - myh @ x, mxh @ yd - myh @ xd, lo, hi, tol):
+            clusters.setdefault(t, []).append(size)
+    crossings: list[Crossing] = []
+    for t, sizes in sorted(clusters.items()):
+        basis = kernel_basis(_pairing_at(path, m, t), tol)
+        dim = basis.shape[1]
+        if dim == 0:
+            continue
+        x, y = path.frame_at(t)
+        # One side inside a piece; both sides at an interior knot.
+        sides = [trusted_inertia(_restricted_form(basis, x, y, xd, yd), tol)
+                 for lo, hi, _, _, xd, yd in pieces if lo <= t <= hi]
+        for form_in in sides:
+            if form_in.n_zero:
+                raise DegenerateCrossing(
+                    f"restricted crossing form at t={t:.12f} has nullity {form_in.n_zero}")
+        if any(s != sides[0] for s in sides):
+            raise DegenerateCrossing(
+                f"crossing at knot t={t:.12f} has restricted form inertia "
+                f"{sides[0].as_tuple()} on the left and {sides[1].as_tuple()} on the right")
+        if any(size != dim for size in sizes):
+            raise UnresolvedCluster(
+                f"{sizes} pencil roots at t={t:.12f} where the intersection has dimension {dim}")
+        if crossings and abs(t - crossings[-1].t) < _CLUSTER_WIDTH:
+            raise UnresolvedCluster(
+                f"crossings at t={crossings[-1].t:.12f} and t={t:.12f} are unresolved")
+        crossings.append(Crossing(t, dim, sides[0]))
+    return crossings
+
+
+def _grid_crossings(path, m: LagrangianPlane, tol: TolerancePolicy, grid: int) -> list[Crossing]:
     ts = np.linspace(0.0, 1.0, grid)
-    stack = _pairing_samples(path, m, ts)
+    stack = np.stack([_pairing_at(path, m, float(t)) for t in ts])
     svals = np.linalg.svd(stack, compute_uv=False)
     sig = svals[:, -1]
     cut = cutoff_for(svals, tol)
@@ -286,14 +456,22 @@ def maslov_index(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL,
 
 def is_nondecreasing(path, tol: TolerancePolicy = DEFAULT_TOL, grid: int = 256) -> bool:
     """True when the full crossing form is positive semidefinite along the
-    path (checked on a grid)."""
-    for t in np.linspace(0.0, 1.0, grid):
-        x, y = path.frame_at(float(t))
-        xd, yd = path.derivative_at(float(t))
-        form = hermitian_part(x.conj().T @ yd - y.conj().T @ xd)
-        if trusted_inertia(form, tol).n_minus:
-            return False
-    return True
+    path.
+
+    On a linear piece the form is affine in t, so it is checked exactly
+    at both ends of each piece; a reparametrization scales it by
+    phi' > 0.  Paths given by a frame callable are checked on a grid.
+    """
+    if isinstance(path, ReparametrizedPath):
+        return is_nondecreasing(path.base, tol, grid)
+    if isinstance(path, (LinearFramePath, PiecewiseLinearPath)):
+        points = ((x + s * xd, y + s * yd, xd, yd)
+                  for lo, hi, x, y, xd, yd in path.pieces() for s in (0.0, hi - lo))
+    else:
+        points = ((*path.frame_at(float(t)), *path.derivative_at(float(t)))
+                  for t in np.linspace(0.0, 1.0, grid))
+    return not any(trusted_inertia(hermitian_part(x.conj().T @ yd - y.conj().T @ xd), tol).n_minus
+                   for x, y, xd, yd in points)
 
 
 def _pair_normalization(l0: LagrangianPlane, l1: LagrangianPlane,

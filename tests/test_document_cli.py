@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lagidx
 from lagidx import ValidationError, graph_plane, horizontal_plane, planes_equal, vertical_plane
 from lagidx import document as doc
 from lagidx.cli import main
@@ -99,6 +103,26 @@ def test_custom_path_document(tmp_path):
     d = doc.Document(raw)
     from lagidx import maslov_index
     assert maslov_index(d.path("p"), d.plane("M")) == 1
+
+
+def test_cli_maslov_does_not_load_scipy_linalg(tmp_path):
+    # A fresh interpreter, so modules imported by other tests do not count.
+    frames = [{"x": doc.encode_matrix(np.eye(2)), "y": doc.encode_matrix(t * np.eye(2))}
+              for t in (0.0, 0.5, 1.0)]
+    raw = custom_path_document([0.0, 0.5, 1.0], frames)
+    raw["objects"]["M"] = doc.plane_entry(graph_plane(np.diag([0.25, 0.75])))
+    path = tmp_path / "custom.json"
+    doc.save(raw, str(path))
+    src = os.path.dirname(os.path.dirname(lagidx.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from lagidx.cli import main; "
+            f"code = main(['maslov', '--input', {str(path)!r}, '--path', 'p', '--reference', 'M']); "
+            "print(code, 'scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    lines = out.stdout.strip().splitlines()
+    assert "maslov index: 2" in lines
+    assert lines[-1] == "0 False"
 
 
 def test_cli_index_and_cross_check(sample_doc, capsys):

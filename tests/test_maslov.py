@@ -4,6 +4,7 @@ import pytest
 from lagidx import (
     DegenerateCrossing,
     NoCrossing,
+    ValidationError,
     crossing_form,
     duistermaat_omega,
     extremal_check,
@@ -24,6 +25,7 @@ from lagidx import (
     vertical_plane,
     zwz_check,
 )
+from lagidx import document as doc
 from lagidx.hermitian import random_hermitian
 from lagidx.maslov import custom_path, index_from_crossings
 
@@ -87,6 +89,37 @@ def test_multidim_crossings():
     assert maslov_index(graph_segment(a, b), m) == 2
 
 
+def test_crossings_inside_one_grid_cell():
+    # 2e-4 apart: both fall in one cell of a 2048-point grid
+    path = graph_segment(np.zeros((2, 2)), np.eye(2))
+    crossings = find_crossings(path, graph_plane(np.diag([0.3, 0.3002])))
+    assert [c.t for c in crossings] == pytest.approx([0.3, 0.3002], abs=1e-12)
+    assert maslov_index(path, graph_plane(np.diag([0.3, 0.3002]))) == 2
+
+
+def test_double_crossing_in_rotated_coordinates(rng):
+    # a unitary change of basis splits the double root by rounding only
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    rotate = lambda d: u @ np.diag(d) @ u.conj().T
+    path = graph_segment(np.zeros((3, 3)), rotate([2.0, 2.0, 1.0]))
+    crossings = find_crossings(path, graph_plane(rotate([1.0, 1.0, 3.0])))
+    assert len(crossings) == 1
+    assert crossings[0].t == pytest.approx(0.5, abs=1e-12)
+    assert crossings[0].dim == 2
+    assert crossings[0].form_inertia.as_tuple() == (0, 0, 2)
+
+
+def test_scaled_projector_crossings(rng):
+    # K1 is singular: the pencil has roots at infinity along ker Q
+    q = np.diag([1.0, 1.0, 0.0])
+    crossings = find_crossings(scaled_projector_path(q), graph_plane(np.diag([0.5, 2.0, -1.0])))
+    assert [(round(c.t, 12), c.dim) for c in crossings] == [(0.5, 1)]
+    for _ in range(5):
+        m = random_plane(3, rng)
+        assert maslov_index(scaled_projector_path(q), m) == \
+            duistermaat_omega(horizontal_plane(3), graph_plane(q), m).value
+
+
 def test_path_reversal_negates_interior_index():
     assert maslov_index(scalar_segment(1, 0), scalar_graph(0.5)) == -1
     assert maslov_index(scalar_segment(-1, 2), scalar_graph(0.7)) == \
@@ -111,6 +144,51 @@ def test_is_nondecreasing():
     assert is_nondecreasing(graph_segment(np.zeros((2, 2)), np.eye(2)))
     assert is_nondecreasing(scaled_projector_path(np.diag([1.0, 0.0])))
     assert not is_nondecreasing(graph_segment(np.zeros((2, 2)), -np.eye(2)))
+    assert is_nondecreasing(scalar_knot_path([0.0, 0.25, 1.0]))
+    assert not is_nondecreasing(scalar_knot_path([0.0, 0.25, 0.0]))
+    phi = lambda t: t * t * (3 - 2 * t)
+    dphi = lambda t: 6 * t * (1 - t)
+    assert not is_nondecreasing(reparametrize(scalar_segment(1, 0), phi, dphi))
+    # the callable path keeps the sampled check
+    assert is_nondecreasing(custom_path(lambda t: (np.eye(1), np.array([[t]])), 1))
+
+
+def scalar_knot_path(values, grid=(0.0, 0.5, 1.0)):
+    """Document custom path through the graphs of the given scalars."""
+    frames = [{"x": doc.encode_matrix(np.eye(1)), "y": doc.encode_matrix(np.array([[v]]))}
+              for v in values]
+    raw = doc.new_document({"p": {"type": "path", "kind": "custom", "grid": list(grid),
+                                  "frames": frames}})
+    return doc.Document(raw).path("p")
+
+
+def test_crossing_at_interior_knot():
+    # up with slope 1/2 then slope 3/2: one positive crossing at the knot
+    crossings = find_crossings(scalar_knot_path([0.0, 0.25, 1.0]), scalar_graph(0.25))
+    assert [(c.t, c.dim, c.form_inertia.as_tuple()) for c in crossings] == [(0.5, 1, (0, 0, 1))]
+    assert maslov_index(scalar_knot_path([0.0, 0.25, 1.0]), scalar_graph(0.25)) == 1
+    # up then down: the two sides disagree, so the touching is not a crossing
+    with pytest.raises(DegenerateCrossing, match="knot t=0.5"):
+        find_crossings(scalar_knot_path([0.0, 0.25, 0.0]), scalar_graph(0.25))
+    # crossings inside the pieces, one per piece
+    path = scalar_knot_path([0.0, 1.0, 0.0])
+    assert [round(c.t, 12) for c in find_crossings(path, scalar_graph(0.5))] == [0.25, 0.75]
+    assert maslov_index(path, scalar_graph(0.5)) == 0
+
+
+def test_reparametrized_crossings_map_back(rng):
+    phi = lambda t: 0.3 * t + 0.7 * t * t * (3 - 2 * t)
+    dphi = lambda t: 0.3 + 4.2 * t * (1 - t)
+    seen = 0
+    for n in (1, 2, 3, 4):
+        base = minimal_path(random_plane(n, rng), random_plane(n, rng))
+        m = random_plane(n, rng)
+        plain = find_crossings(base, m)
+        mapped = find_crossings(reparametrize(base, phi, dphi), m)
+        assert [(c.dim, c.form_inertia) for c in mapped] == [(c.dim, c.form_inertia) for c in plain]
+        assert [phi(c.t) for c in mapped] == pytest.approx([c.t for c in plain], abs=1e-12)
+        seen += len(plain)
+    assert seen >= 2
 
 
 def test_reparametrization_keeps_index(rng):
@@ -120,6 +198,8 @@ def test_reparametrization_keeps_index(rng):
     phi = lambda t: t * t * (3 - 2 * t)
     dphi = lambda t: 6 * t * (1 - t)
     assert maslov_index(reparametrize(path, phi, dphi), m) == base
+    with pytest.raises(ValidationError):
+        reparametrize(path, lambda t: 1 - t, lambda t: -1.0)
 
 
 def test_custom_path_finite_differences():
