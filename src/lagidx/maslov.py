@@ -270,10 +270,13 @@ def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL,
     ``kernel_basis`` finds a nontrivial intersection, and k roots within
     1e-9 of each other must meet an intersection of dimension k, else
     UnresolvedCluster is raised.  A root within 1e-9 of a piece end is
-    placed on it; a crossing at an interior knot is recorded once when the
-    restricted forms of the pieces on both sides have equal inertia, and
-    raises DegenerateCrossing otherwise.  A pairing that is singular on a
-    whole piece raises DegenerateCrossing.
+    placed on it only when the pairing has a kernel at that end; else it
+    stays inside its piece.  A crossing at an interior knot needs roots
+    from the pencils of both pieces, else UnresolvedCluster is raised (a
+    lone root from beyond its piece is left to the other piece), and it is
+    recorded once when the restricted forms of both pieces have equal
+    inertia, else DegenerateCrossing is raised.  A pairing that is
+    singular on a whole piece raises DegenerateCrossing.
 
     Paths given by a frame callable are sampled instead: the smallest
     singular value of K(t) on ``grid`` points, each plausible valley
@@ -327,68 +330,103 @@ def _root_clusters(roots: np.ndarray) -> list[np.ndarray]:
 
 
 def _pencil_roots(ka: np.ndarray, kd: np.ndarray, lo: float, hi: float,
-                  tol: TolerancePolicy) -> list[tuple[float, int]]:
-    """Root clusters of det(ka + (t - lo) kd) near [lo, hi], as (t, size)
-    pairs: t is the mean real part, placed on a piece end within 1e-9.
+                  tol: TolerancePolicy) -> list[tuple[float, int, bool]]:
+    """Root clusters of det(ka + (t - lo) kd) whose mean real part t lies
+    within 1e-9 of [lo, hi], as (t, size, beyond) triples; ``beyond``
+    says every root of the cluster lies outside [lo, hi].
 
-    The shift s0 is the first of n + 1 fixed points inside the piece where
-    the pairing is well conditioned.  A regular pencil has at most n
-    roots, so when every probe fails det K vanishes identically.
+    The shift s0 is the best-conditioned of n + 1 fixed points inside the
+    piece.  A regular pencil has at most n roots, so when the pairing is
+    ill-conditioned at every one of them det K vanishes identically.
     """
     n = ka.shape[0]
-    for frac in np.arange(1, n + 2) * _GOLDEN % 1.0:
-        s0 = lo + frac * (hi - lo)
-        k0 = ka + (s0 - lo) * kd
-        if not ill_conditioned(k0, tol):
-            break
-    else:
+    shifts = lo + (np.arange(1, n + 2) * _GOLDEN % 1.0) * (hi - lo)
+    probes = ka + (shifts - lo)[:, None, None] * kd
+    s = np.linalg.svd(probes, compute_uv=False)
+    best = int(np.argmax(np.divide(s[:, -1], s[:, 0], out=np.zeros(n + 1), where=s[:, 0] > 0.0)))
+    if ill_conditioned(probes[best], tol):
         raise DegenerateCrossing(
             f"pairing with the reference plane is singular on all of [{lo:.12f}, {hi:.12f}]")
-    lam = np.linalg.eigvals(np.linalg.solve(k0, kd))
+    lam = np.linalg.eigvals(np.linalg.solve(probes[best], kd))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        roots = s0 - 1.0 / lam
+        roots = shifts[best] - 1.0 / lam
     found = []
     for cluster in _root_clusters(roots[np.isfinite(roots)]):
         t = float(np.mean(cluster.real))
         if lo - _ENDPOINT_TOL <= t <= hi + _ENDPOINT_TOL:
-            t = lo if t - lo <= _ENDPOINT_TOL else hi if hi - t <= _ENDPOINT_TOL else t
-            found.append((t, len(cluster)))
+            beyond = bool(np.all(cluster.real < lo) or np.all(cluster.real > hi))
+            found.append((t, len(cluster), beyond))
     return found
+
+
+def _meet(path, m: LagrangianPlane, t: float, lo: float, hi: float,
+          tol: TolerancePolicy) -> tuple[float, np.ndarray] | None:
+    """Where a root with real part t meets the reference plane, with the
+    kernel basis there: on a piece end within 1e-9 of t when the pairing
+    has a kernel at that end, else at t itself when it lies in [lo, hi].
+    """
+    ends = [e for e in (lo, hi) if abs(t - e) <= _ENDPOINT_TOL]
+    inside = [t] if lo <= t <= hi and t not in ends else []
+    for s in ends + inside:
+        basis = kernel_basis(_pairing_at(path, m, s), tol)
+        if basis.shape[1]:
+            return s, basis
+    return None
+
+
+def _append_crossing(crossings: list[Crossing], t: float, form_in: Inertia) -> None:
+    """Accept a crossing whose restricted form is nondegenerate and which
+    lies at least 1e-9 after the previous one."""
+    if form_in.n_zero:
+        raise DegenerateCrossing(
+            f"restricted crossing form at t={t:.12f} has nullity {form_in.n_zero}")
+    if crossings and abs(t - crossings[-1].t) < _CLUSTER_WIDTH:
+        raise UnresolvedCluster(
+            f"crossings at t={crossings[-1].t:.12f} and t={t:.12f} are unresolved")
+    crossings.append(Crossing(t, form_in.dim, form_in))
 
 
 def _pencil_crossings(path, m: LagrangianPlane, tol: TolerancePolicy) -> list[Crossing]:
     mxh, myh = m.x.conj().T, m.y.conj().T
     pieces = path.pieces()
-    # Cluster sizes by parameter; a knot collects one from each side.
-    clusters: dict[float, list[int]] = {}
+    # Kernel basis by parameter, with the root clusters met there: their
+    # sizes, and whether each lies beyond its own piece.
+    found: dict[float, tuple[np.ndarray, list[tuple[int, bool]]]] = {}
     for lo, hi, x, y, xd, yd in pieces:
-        for t, size in _pencil_roots(mxh @ y - myh @ x, mxh @ yd - myh @ xd, lo, hi, tol):
-            clusters.setdefault(t, []).append(size)
+        for t, size, beyond in _pencil_roots(mxh @ y - myh @ x, mxh @ yd - myh @ xd, lo, hi, tol):
+            hit = _meet(path, m, t, lo, hi, tol)
+            if hit is not None:
+                found.setdefault(hit[0], (hit[1], []))[1].append((size, beyond))
+            elif size > 1:
+                raise UnresolvedCluster(
+                    f"{size} pencil roots at t={t:.12f} where the intersection is trivial")
     crossings: list[Crossing] = []
-    for t, sizes in sorted(clusters.items()):
-        basis = kernel_basis(_pairing_at(path, m, t), tol)
-        dim = basis.shape[1]
-        if dim == 0:
-            continue
+    for t, (basis, clusters) in sorted(found.items(), key=lambda item: item[0]):
         x, y = path.frame_at(t)
         # One side inside a piece; both sides at an interior knot.
         sides = [trusted_inertia(_restricted_form(basis, x, y, xd, yd), tol)
                  for lo, hi, _, _, xd, yd in pieces if lo <= t <= hi]
-        for form_in in sides:
-            if form_in.n_zero:
-                raise DegenerateCrossing(
-                    f"restricted crossing form at t={t:.12f} has nullity {form_in.n_zero}")
+        if len(clusters) < len(sides):
+            # Both pencils at a knot pass through its pairing, so a
+            # crossing there has roots on both sides.  A lone cluster from
+            # beyond its piece lies in the other piece, whose own roots
+            # cover that stretch.
+            if clusters[0][1]:
+                continue
+            raise UnresolvedCluster(
+                f"pencil roots near knot t={t:.12f} come from one side only")
         if any(s != sides[0] for s in sides):
             raise DegenerateCrossing(
                 f"crossing at knot t={t:.12f} has restricted form inertia "
                 f"{sides[0].as_tuple()} on the left and {sides[1].as_tuple()} on the right")
-        if any(size != dim for size in sizes):
+        # A degenerate crossing is also a multiple root, so the form's
+        # nullity is checked before the cluster sizes.
+        _append_crossing(crossings, t, sides[0])
+        sizes = [size for size, _ in clusters]
+        if any(size != basis.shape[1] for size in sizes):
             raise UnresolvedCluster(
-                f"{sizes} pencil roots at t={t:.12f} where the intersection has dimension {dim}")
-        if crossings and abs(t - crossings[-1].t) < _CLUSTER_WIDTH:
-            raise UnresolvedCluster(
-                f"crossings at t={crossings[-1].t:.12f} and t={t:.12f} are unresolved")
-        crossings.append(Crossing(t, dim, sides[0]))
+                f"{sizes} pencil roots at t={t:.12f} where the intersection has "
+                f"dimension {basis.shape[1]}")
     return crossings
 
 
@@ -422,15 +460,7 @@ def _grid_crossings(path, m: LagrangianPlane, tol: TolerancePolicy, grid: int) -
         t_star = float(np.clip(_golden_minimize(sigma_min, lo, hi), 0.0, 1.0))
         if sigma_min(t_star) > cut:
             continue
-        restricted = crossing_form(path, t_star, m, tol)
-        form_in = trusted_inertia(restricted, tol)
-        if form_in.n_zero:
-            raise DegenerateCrossing(
-                f"restricted crossing form at t={t_star:.12f} has nullity {form_in.n_zero}")
-        if crossings and abs(t_star - crossings[-1].t) < _CLUSTER_WIDTH:
-            raise UnresolvedCluster(
-                f"crossings at t={crossings[-1].t:.12f} and t={t_star:.12f} are unresolved")
-        crossings.append(Crossing(t_star, restricted.shape[0], form_in))
+        _append_crossing(crossings, t_star, trusted_inertia(crossing_form(path, t_star, m, tol), tol))
     return crossings
 
 

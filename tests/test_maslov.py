@@ -4,6 +4,7 @@ import pytest
 from lagidx import (
     DegenerateCrossing,
     NoCrossing,
+    UnresolvedCluster,
     ValidationError,
     crossing_form,
     duistermaat_omega,
@@ -97,6 +98,24 @@ def test_crossings_inside_one_grid_cell():
     assert maslov_index(path, graph_plane(np.diag([0.3, 0.3002]))) == 2
 
 
+def test_steep_crossing_near_an_end_stays_inside():
+    # slope 20 puts the root 5e-10 after t=0, where |K(0)| = 1e-8 is
+    # above the cutoff: the crossing must not be moved onto the end
+    crossings = find_crossings(scalar_segment(0, 20), scalar_graph(1e-8))
+    assert [c.t for c in crossings] == pytest.approx([5e-10], abs=1e-15)
+    assert maslov_index(scalar_segment(0, 20), scalar_graph(1e-8)) == 1
+
+
+def test_crossing_next_to_a_probe_shift():
+    # one eigenvalue sits 1e-8 from the first probe shift, 0.618034
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        m = graph_plane(u @ np.diag([0.618034, 0.3]) @ u.conj().T)
+        crossings = find_crossings(graph_segment(np.zeros((2, 2)), np.eye(2)), m)
+        assert [c.t for c in crossings] == pytest.approx([0.3, 0.618034], abs=1e-12)
+
+
 def test_double_crossing_in_rotated_coordinates(rng):
     # a unitary change of basis splits the double root by rounding only
     u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -153,9 +172,10 @@ def test_is_nondecreasing():
     assert is_nondecreasing(custom_path(lambda t: (np.eye(1), np.array([[t]])), 1))
 
 
-def scalar_knot_path(values, grid=(0.0, 0.5, 1.0)):
-    """Document custom path through the graphs of the given scalars."""
-    frames = [{"x": doc.encode_matrix(np.eye(1)), "y": doc.encode_matrix(np.array([[v]]))}
+def scalar_knot_path(values, grid=(0.0, 0.5, 1.0), n=1):
+    """Document custom path through the graphs of the given multiples of
+    the n x n identity."""
+    frames = [{"x": doc.encode_matrix(np.eye(n)), "y": doc.encode_matrix(v * np.eye(n))}
               for v in values]
     raw = doc.new_document({"p": {"type": "path", "kind": "custom", "grid": list(grid),
                                   "frames": frames}})
@@ -170,10 +190,30 @@ def test_crossing_at_interior_knot():
     # up then down: the two sides disagree, so the touching is not a crossing
     with pytest.raises(DegenerateCrossing, match="knot t=0.5"):
         find_crossings(scalar_knot_path([0.0, 0.25, 0.0]), scalar_graph(0.25))
+    # steep right piece: the root 5e-10 after the knot, where |K| is about
+    # 7e-7, stays inside the right piece
+    crossings = find_crossings(scalar_knot_path([0.0, 1.0, 1000.0]), scalar_graph(1 + 1e-6))
+    assert [c.t for c in crossings] == pytest.approx([0.5 + 1e-6 / 1998], abs=1e-15)
+    assert maslov_index(scalar_knot_path([0.0, 1.0, 1000.0]), scalar_graph(1 + 1e-6)) == 1
     # crossings inside the pieces, one per piece
     path = scalar_knot_path([0.0, 1.0, 0.0])
     assert [round(c.t, 12) for c in find_crossings(path, scalar_graph(0.5))] == [0.25, 0.75]
     assert maslov_index(path, scalar_graph(0.5)) == 0
+
+
+def test_roots_near_a_knot_from_beyond_the_piece():
+    # the left pencil, extended past the knot at 0.3, has a root 6e-10
+    # after it; the path crosses once, 1.4e-9 after the knot
+    path = scalar_knot_path([0.0, 0.5, 1.0], grid=(0.0, 0.3, 1.0))
+    crossings = find_crossings(path, scalar_graph(0.5 + 1e-9))
+    assert [c.t for c in crossings] == pytest.approx([0.3 + 1.4e-9], abs=1e-15)
+    assert maslov_index(path, scalar_graph(0.5 + 1e-9)) == 1
+    # the right pencil joins its root 5e-10 after the knot with one 5e-10
+    # before it, from the crossing of the left piece: two roots where the
+    # intersection is trivial cannot be resolved
+    with pytest.raises(UnresolvedCluster):
+        find_crossings(scalar_knot_path([0.0, 20.0, 1020.0], n=2),
+                       graph_plane(np.diag([20 - 1e-6, 20 + 1e-6])))
 
 
 def test_reparametrized_crossings_map_back(rng):
