@@ -151,7 +151,15 @@ class Document:
                 raise ValidationError(f"{name}.frames[{i}] has shape {x.shape}, expected {xs[0].shape}")
             xs.append(x)
             ys.append(y)
-        return PiecewiseLinearPath(ts, np.stack(xs), np.stack(ys))
+        path = PiecewiseLinearPath.through(ts, xs, ys)
+        # On a piece X*Y - Y*X = w(1 - w)(P - P*) with P = X_k* Y_k+1 - Y_k* X_k+1,
+        # so the midpoint frame decides whether the whole piece is Lagrangian.
+        for k, (lo, hi, *_) in enumerate(path.pieces()):
+            try:
+                validate_frame(*path.frame_at(0.5 * (lo + hi)), self.tol)
+            except ValidationError as exc:
+                raise ValidationError(f"custom path {name!r} between knots {k} and {k + 1}: {exc}") from exc
+        return path
 
 
 def _reject_duplicate_keys(pairs):

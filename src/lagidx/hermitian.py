@@ -131,8 +131,9 @@ def trusted_inertia(h: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Inerti
         raise EigendecompositionError(f"eigvalsh failed for matrix {matrix_hash(h)}") from exc
     if not np.all(np.isfinite(w)):
         raise ValidationError(f"matrix {matrix_hash(h)} has non-finite eigenvalues")
-    n_minus = count_above_cutoff(-w, tol)
-    n_plus = count_above_cutoff(w, tol)
+    cut = cutoff_for(w, tol)
+    n_minus = int(np.sum(w < -cut))
+    n_plus = int(np.sum(w > cut))
     return Inertia(n_minus, h.shape[0] - n_minus - n_plus, n_plus)
 
 

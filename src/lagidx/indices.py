@@ -55,6 +55,8 @@ from .planes import (
 )
 from .relations import compress, decompose, difference, inverse
 
+_REDUCE_ATTEMPTS = 8
+
 
 @dataclass(frozen=True)
 class IndexReport:
@@ -180,8 +182,7 @@ def _graph_matrix_in_basis(z: np.ndarray, plane: LagrangianPlane, tol: Tolerance
 
 
 def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
-                       tol: TolerancePolicy = DEFAULT_TOL, seed=None,
-                       max_attempts: int = 8) -> IndexReport:
+                       tol: TolerancePolicy = DEFAULT_TOL, seed=None) -> IndexReport:
     """Duistermaat index by the axiomatic reduction.
 
     A companion plane transversal to all three is drawn, the cocycle
@@ -193,7 +194,7 @@ def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianP
     n = _check_triple(l1, l2, l3)
     rng = np.random.default_rng(seed)
     last_error = None
-    for _ in range(max_attempts):
+    for _ in range(_REDUCE_ATTEMPTS):
         try:
             l4 = transversal_companion((l1, l2, l3), tol, rng)
             z1 = transversal_normalization(l1, l4, tol)
@@ -206,7 +207,7 @@ def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianP
                                {"terms": (t12, t13, t23)})
         except (DualBasisFailure, SelectionFailed) as exc:
             last_error = exc
-    raise SelectionFailed(f"reduction failed after {max_attempts} companions") from last_error
+    raise SelectionFailed(f"reduction failed after {_REDUCE_ATTEMPTS} companions") from last_error
 
 
 def duistermaat_graphs(a, b, c, tol: TolerancePolicy = DEFAULT_TOL) -> int:

@@ -10,17 +10,19 @@ Only regular paths are supported: at every crossing the restricted form
 must be nondegenerate, otherwise DegenerateCrossing is raised rather than
 silently perturbing the data.
 
-Crossings are found exactly wherever the path is linear in its frame.  On
-each linear piece the pairing with the reference plane is a matrix pencil
-K(t) = K(s0) + (t - s0) K1, so the crossings are the real roots of
-det K(t): one eigenvalue solve per piece (Robbin and Salamon, "The Maslov
-index for paths", Topology 32, 1993, for crossing forms).  Linear paths,
-piecewise-linear paths and their reparametrizations take this route;
-only paths given by a frame callable fall back to a sampled grid.
+Every built-in path (segments of graphs, scaled projectors, minimal paths
+and document ``custom`` paths) is a PiecewiseLinearPath: its frame is
+linear in t between knots.  On each linear piece the pairing with the
+reference plane is a matrix pencil K(t) = K(s0) + (t - s0) K1, so the
+crossings are the real roots of det K(t): one eigenvalue solve per piece
+(Robbin and Salamon, "The Maslov index for paths", Topology 32, 1993, for
+crossing forms).  Reparametrizations are solved on their base path.  Only
+paths given by a frame callable are sampled, at a fixed 2048 points.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,94 +51,75 @@ from .indices import VerificationRecord, duistermaat_omega
 from .planes import (
     LagrangianPlane,
     intersection_basis,
-    intersection_dim,
     plane_from_frame,
     random_plane,
 )
 from .symplectic import standard_form
 
+# Sampling of frame-callable paths: crossings, monotonicity, derivative.
+_GRID = 2048
+_MONOTONE_GRID = 256
+_FD_STEP = 1e-6
 _REFINE_WIDTH = 1e-12
 _CLUSTER_WIDTH = 1e-9
 _ENDPOINT_TOL = 1e-9
+_MAX_RETRIES = 5
 # Golden-section ratio: step of the bracketed minimization, and the
 # rotation that spreads the pencil's probe shifts over a piece.
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-class LinearFramePath:
-    """Path with frame (X0 + t X1; Y0 + t Y1) and exact derivative."""
+class PiecewiseLinearPath:
+    """Path that is linear in its frame between knots 0 = t_0 < ... < t_m = 1.
 
-    def __init__(self, x0, x1, y0, y1, kind: str = "linear"):
-        self.x0 = np.asarray(x0, dtype=complex)
-        self.x1 = np.asarray(x1, dtype=complex)
-        self.y0 = np.asarray(y0, dtype=complex)
-        self.y1 = np.asarray(y1, dtype=complex)
-        self.n = self.x0.shape[0]
+    xs, ys hold the start frame (X_k; Y_k) of each piece and xds, yds its
+    exact derivative (X'_k; Y'_k).  On [t_k, t_{k+1}] the frame is
+    (X_k + (t - t_k) X'_k; Y_k + (t - t_k) Y'_k), the same pencil that
+    find_crossings solves.  At an interior knot ``frame_at`` and
+    ``derivative_at`` use the piece to its right.
+    """
+
+    def __init__(self, knots, xs, ys, xds, yds, kind: str):
+        self.knots = [float(t) for t in knots]
         self.kind = kind
+        self._pieces = [(lo, hi, *(np.asarray(a, dtype=complex) for a in frames))
+                        for lo, hi, *frames in zip(self.knots, self.knots[1:], xs, ys, xds, yds)]
+        self.n = self._pieces[0][2].shape[0]
+
+    @classmethod
+    def through(cls, knots, xs, ys) -> "PiecewiseLinearPath":
+        """Document ``custom`` path through the frames (xs[k]; ys[k]) at the knots."""
+        h = np.diff(knots)[:, None, None]
+        return cls(knots, xs[:-1], ys[:-1], np.diff(xs, axis=0) / h, np.diff(ys, axis=0) / h, "custom")
+
+    def _piece(self, t: float):
+        return self._pieces[min(max(bisect.bisect_right(self.knots, t) - 1, 0), len(self._pieces) - 1)]
 
     def frame_at(self, t: float):
-        return self.x0 + t * self.x1, self.y0 + t * self.y1
+        lo, _, x, y, xd, yd = self._piece(t)
+        return x + (t - lo) * xd, y + (t - lo) * yd
 
     def derivative_at(self, t: float):
-        return self.x1, self.y1
+        return self._piece(t)[4:]
 
     def pieces(self):
         """Linear pieces (lo, hi, x, y, xd, yd): on [lo, hi] the frame is
         (x + (t - lo) xd; y + (t - lo) yd)."""
-        return [(0.0, 1.0, self.x0, self.y0, self.x1, self.y1)]
-
-
-class PiecewiseLinearPath:
-    """Frames interpolated linearly between knots 0 = t_0 < ... < t_m = 1.
-
-    The derivative is exact on each piece; at an interior knot
-    ``derivative_at`` returns the one of the piece to its right.
-    """
-
-    kind = "custom"
-
-    def __init__(self, knots, xs, ys):
-        self.knots = np.asarray(knots, dtype=float)
-        self.xs = np.asarray(xs, dtype=complex)
-        self.ys = np.asarray(ys, dtype=complex)
-        self.n = self.xs.shape[1]
-        h = np.diff(self.knots)[:, None, None]
-        self._xd = np.diff(self.xs, axis=0) / h
-        self._yd = np.diff(self.ys, axis=0) / h
-
-    def _piece(self, t: float) -> int:
-        return int(np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, len(self.knots) - 2))
-
-    def frame_at(self, t: float):
-        k = self._piece(t)
-        w = (t - self.knots[k]) / (self.knots[k + 1] - self.knots[k])
-        return ((1 - w) * self.xs[k] + w * self.xs[k + 1],
-                (1 - w) * self.ys[k] + w * self.ys[k + 1])
-
-    def derivative_at(self, t: float):
-        k = self._piece(t)
-        return self._xd[k], self._yd[k]
-
-    def pieces(self):
-        """Linear pieces (lo, hi, x, y, xd, yd), one per pair of knots."""
-        return [(float(self.knots[k]), float(self.knots[k + 1]),
-                 self.xs[k], self.ys[k], self._xd[k], self._yd[k])
-                for k in range(len(self.knots) - 1)]
+        return self._pieces
 
 
 class CustomPath:
     """Path from a user-supplied frame function.
 
     Without an explicit derivative function, central finite differences
-    with the given step are used; accuracy is limited accordingly.
+    with step 1e-6 are used; accuracy is limited accordingly.
     """
 
     kind = "custom"
 
-    def __init__(self, frame_fn, n: int, derivative_fn=None, fd_step: float = 1e-6):
+    def __init__(self, frame_fn, n: int, derivative_fn=None):
         self._frame_fn = frame_fn
         self._derivative_fn = derivative_fn
-        self._fd_step = fd_step
         self.n = n
 
     def frame_at(self, t: float):
@@ -147,8 +130,7 @@ class CustomPath:
         if self._derivative_fn is not None:
             x, y = self._derivative_fn(t)
             return np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-        h = self._fd_step
-        lo, hi = max(0.0, t - h), min(1.0, t + h)
+        lo, hi = max(0.0, t - _FD_STEP), min(1.0, t + _FD_STEP)
         xlo, ylo = self.frame_at(lo)
         xhi, yhi = self.frame_at(hi)
         return (xhi - xlo) / (hi - lo), (yhi - ylo) / (hi - lo)
@@ -173,28 +155,29 @@ class ReparametrizedPath:
         return w * xd, w * yd
 
 
-def graph_segment(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> LinearFramePath:
+def graph_segment(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> PiecewiseLinearPath:
     """Straight segment of graphs from A to B: frames (I; A + t(B - A))."""
     am = as_hermitian(a, tol, "segment start")
     bm = as_hermitian(b, tol, "segment end")
     if am.shape != bm.shape:
         raise ValidationError("segment endpoints must share one dimension")
     n = am.shape[0]
-    return LinearFramePath(np.eye(n), np.zeros((n, n)), am, bm - am, kind="graph_segment")
+    return PiecewiseLinearPath([0.0, 1.0], [np.eye(n)], [am], [np.zeros((n, n))], [bm - am],
+                               "graph_segment")
 
 
-def scaled_projector_path(q, tol: TolerancePolicy = DEFAULT_TOL) -> LinearFramePath:
+def scaled_projector_path(q, tol: TolerancePolicy = DEFAULT_TOL) -> PiecewiseLinearPath:
     """Path t -> graph of t Q for an orthogonal projector Q."""
     qm = as_hermitian(q, tol, "projector")
     if np.linalg.norm(qm @ qm - qm) > tol.residual_tol * max(1.0, np.linalg.norm(qm)):
         raise ValidationError("scaled_projector_path needs an orthogonal projector")
     n = qm.shape[0]
-    return LinearFramePath(np.eye(n), np.zeros((n, n)), np.zeros((n, n)), qm,
-                           kind="scaled_projector")
+    return PiecewiseLinearPath([0.0, 1.0], [np.eye(n)], [np.zeros((n, n))], [np.zeros((n, n))],
+                               [qm], "scaled_projector")
 
 
-def custom_path(frame_fn, n: int, derivative_fn=None, fd_step: float = 1e-6) -> CustomPath:
-    return CustomPath(frame_fn, n, derivative_fn, fd_step)
+def custom_path(frame_fn, n: int, derivative_fn=None) -> CustomPath:
+    return CustomPath(frame_fn, n, derivative_fn)
 
 
 def reparametrize(path, phi, dphi) -> ReparametrizedPath:
@@ -259,14 +242,13 @@ def crossing_form(path, t0: float, m: LagrangianPlane, tol: TolerancePolicy = DE
     return _restricted_form(basis, *path.frame_at(t0), *path.derivative_at(t0))
 
 
-def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL,
-                   grid: int = 2048) -> list[Crossing]:
+def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> list[Crossing]:
     """Locate all crossings of a regular path with the reference plane.
 
-    Linear and piecewise-linear paths, and reparametrizations of either,
-    are solved exactly: on each linear piece the crossings are the real
-    roots of the pairing pencil K(t) = K(s0) + (t - s0) K1, taken from the
-    eigenvalues of K(s0)^-1 K1.  A root counts as a crossing only where
+    Piecewise-linear paths and their reparametrizations are solved
+    exactly: on each linear piece the crossings are the real roots of the
+    pairing pencil K(t) = K(s0) + (t - s0) K1, taken from the eigenvalues
+    of K(s0)^-1 K1.  A root counts as a crossing only where
     ``kernel_basis`` finds a nontrivial intersection, and k roots within
     1e-9 of each other must meet an intersection of dimension k, else
     UnresolvedCluster is raised.  A root within 1e-9 of a piece end is
@@ -279,7 +261,7 @@ def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL,
     singular on a whole piece raises DegenerateCrossing.
 
     Paths given by a frame callable are sampled instead: the smallest
-    singular value of K(t) on ``grid`` points, each plausible valley
+    singular value of K(t) on 2048 fixed points, each plausible valley
     refined by bracketed minimization to width 1e-12.  Crossings closer
     than the grid spacing may be missed there.
 
@@ -288,18 +270,18 @@ def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL,
     """
     if path.n != m.n:
         raise ValidationError("path and reference plane dimensions differ")
-    return _crossings(path, m, tol, grid)
+    return _crossings(path, m, tol)
 
 
-def _crossings(path, m: LagrangianPlane, tol: TolerancePolicy, grid: int) -> list[Crossing]:
+def _crossings(path, m: LagrangianPlane, tol: TolerancePolicy) -> list[Crossing]:
     if isinstance(path, ReparametrizedPath):
         # The crossing form is phi'(t) > 0 times the base form, so only
         # the parameter changes.
         return [Crossing(_schedule_inverse(path.phi, c.t), c.dim, c.form_inertia)
-                for c in _crossings(path.base, m, tol, grid)]
-    if isinstance(path, (LinearFramePath, PiecewiseLinearPath)):
+                for c in _crossings(path.base, m, tol)]
+    if isinstance(path, PiecewiseLinearPath):
         return _pencil_crossings(path, m, tol)
-    return _grid_crossings(path, m, tol, grid)
+    return _grid_crossings(path, m, tol)
 
 
 def _schedule_inverse(phi, s: float) -> float:
@@ -430,20 +412,20 @@ def _pencil_crossings(path, m: LagrangianPlane, tol: TolerancePolicy) -> list[Cr
     return crossings
 
 
-def _grid_crossings(path, m: LagrangianPlane, tol: TolerancePolicy, grid: int) -> list[Crossing]:
-    ts = np.linspace(0.0, 1.0, grid)
+def _grid_crossings(path, m: LagrangianPlane, tol: TolerancePolicy) -> list[Crossing]:
+    ts = np.linspace(0.0, 1.0, _GRID)
     stack = np.stack([_pairing_at(path, m, float(t)) for t in ts])
     svals = np.linalg.svd(stack, compute_uv=False)
     sig = svals[:, -1]
     cut = cutoff_for(svals, tol)
     step = ts[1] - ts[0]
-    slope = float(np.max(np.abs(np.diff(sig)))) / step if grid > 1 else 0.0
+    slope = float(np.max(np.abs(np.diff(sig)))) / step
     trigger = max(2.0 * slope * step, 64.0 * cut)
 
     candidates = []
-    for i in range(grid):
+    for i in range(_GRID):
         left = sig[i - 1] if i > 0 else np.inf
-        right = sig[i + 1] if i + 1 < grid else np.inf
+        right = sig[i + 1] if i + 1 < _GRID else np.inf
         if (sig[i] < left and sig[i] <= right) or (i == 0 and sig[0] <= right):
             drop = max(left - sig[i] if np.isfinite(left) else 0.0,
                        right - sig[i] if np.isfinite(right) else 0.0, 0.0)
@@ -456,7 +438,7 @@ def _grid_crossings(path, m: LagrangianPlane, tol: TolerancePolicy, grid: int) -
     crossings: list[Crossing] = []
     for i in candidates:
         lo = ts[i - 1] if i > 0 else ts[0]
-        hi = ts[i + 1] if i + 1 < grid else ts[-1]
+        hi = ts[i + 1] if i + 1 < _GRID else ts[-1]
         t_star = float(np.clip(_golden_minimize(sigma_min, lo, hi), 0.0, 1.0))
         if sigma_min(t_star) > cut:
             continue
@@ -478,28 +460,27 @@ def index_from_crossings(crossings) -> int:
     return total
 
 
-def maslov_index(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL,
-                 grid: int = 2048) -> int:
+def maslov_index(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Maslov index of a regular path with respect to a reference plane."""
-    return index_from_crossings(find_crossings(path, m, tol, grid))
+    return index_from_crossings(find_crossings(path, m, tol))
 
 
-def is_nondecreasing(path, tol: TolerancePolicy = DEFAULT_TOL, grid: int = 256) -> bool:
+def is_nondecreasing(path, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """True when the full crossing form is positive semidefinite along the
     path.
 
     On a linear piece the form is affine in t, so it is checked exactly
     at both ends of each piece; a reparametrization scales it by
-    phi' > 0.  Paths given by a frame callable are checked on a grid.
+    phi' > 0.  Paths given by a frame callable are checked on 256 points.
     """
     if isinstance(path, ReparametrizedPath):
-        return is_nondecreasing(path.base, tol, grid)
-    if isinstance(path, (LinearFramePath, PiecewiseLinearPath)):
+        return is_nondecreasing(path.base, tol)
+    if isinstance(path, PiecewiseLinearPath):
         points = ((x + s * xd, y + s * yd, xd, yd)
                   for lo, hi, x, y, xd, yd in path.pieces() for s in (0.0, hi - lo))
     else:
         points = ((*path.frame_at(float(t)), *path.derivative_at(float(t)))
-                  for t in np.linspace(0.0, 1.0, grid))
+                  for t in np.linspace(0.0, 1.0, _MONOTONE_GRID))
     return not any(trusted_inertia(hermitian_part(x.conj().T @ yd - y.conj().T @ xd), tol).n_minus
                    for x, y, xd, yd in points)
 
@@ -514,8 +495,8 @@ def _pair_normalization(l0: LagrangianPlane, l1: LagrangianPlane,
     """
     n = l0.n
     j = standard_form(n)
-    k = intersection_dim(l0, l1, tol)
     f = intersection_basis(l0, l1, tol)
+    k = f.shape[1]
 
     def complement_within(plane: LagrangianPlane) -> np.ndarray:
         resid = plane.stacked - f @ (f.conj().T @ plane.stacked)
@@ -559,7 +540,7 @@ def _pair_normalization(l0: LagrangianPlane, l1: LagrangianPlane,
 
 
 def minimal_path(l0: LagrangianPlane, l1: LagrangianPlane,
-                 tol: TolerancePolicy = DEFAULT_TOL, seed=None) -> LinearFramePath:
+                 tol: TolerancePolicy = DEFAULT_TOL) -> PiecewiseLinearPath:
     """Smooth non-decreasing path from L0 to L1 whose Maslov index equals
     the Duistermaat index of (L0, L1, M) for every reference plane M.
 
@@ -572,16 +553,16 @@ def minimal_path(l0: LagrangianPlane, l1: LagrangianPlane,
     n = l0.n
     z11, z12 = z[:n, :n], z[:n, n:]
     z21, z22 = z[n:, :n], z[n:, n:]
-    return LinearFramePath(z11, z12 @ q, z21, z22 @ q, kind="minimal")
+    return PiecewiseLinearPath([0.0, 1.0], [z11], [z21], [z12 @ q], [z22 @ q], "minimal")
 
 
 def zwz_check(path, m1: LagrangianPlane, m2: LagrangianPlane,
-              tol: TolerancePolicy = DEFAULT_TOL, grid: int = 2048) -> VerificationRecord:
+              tol: TolerancePolicy = DEFAULT_TOL) -> VerificationRecord:
     """Difference of Maslov indices against two reference planes, compared
     with the two Duistermaat-index expressions for it (the endpoint line
     and the reference line)."""
-    mas1 = maslov_index(path, m1, tol, grid)
-    mas2 = maslov_index(path, m2, tol, grid)
+    mas1 = maslov_index(path, m1, tol)
+    mas2 = maslov_index(path, m2, tol)
     l0 = plane_from_frame(*path.frame_at(0.0), tol)
     l1 = plane_from_frame(*path.frame_at(1.0), tol)
     lhs = mas1 - mas2
@@ -603,8 +584,7 @@ def _smooth_monotone(alpha: float):
 
 
 def extremal_check(l0: LagrangianPlane, l1: LagrangianPlane, m: LagrangianPlane,
-                   trials: int = 10, tol: TolerancePolicy = DEFAULT_TOL, seed=None,
-                   max_retries: int = 5) -> VerificationRecord:
+                   trials: int = 10, tol: TolerancePolicy = DEFAULT_TOL, seed=None) -> VerificationRecord:
     """Maslov index over random non-decreasing paths from L0 to L1 is
     bounded below by the Duistermaat index, with equality on the minimal
     path.
@@ -612,7 +592,7 @@ def extremal_check(l0: LagrangianPlane, l1: LagrangianPlane, m: LagrangianPlane,
     Samples alternate between smooth reparametrizations of the minimal
     path and detours through a random waypoint (two minimal pieces, whose
     indices add under concatenation).  Degenerate samples are redrawn up
-    to ``max_retries`` times.
+    to 5 times.
     """
     rng = np.random.default_rng(seed)
     target = duistermaat_omega(l0, l1, m, tol).value
@@ -620,7 +600,7 @@ def extremal_check(l0: LagrangianPlane, l1: LagrangianPlane, m: LagrangianPlane,
     base_value = maslov_index(base, m, tol)
     samples = []
     for trial in range(trials):
-        for attempt in range(max_retries + 1):
+        for attempt in range(_MAX_RETRIES + 1):
             try:
                 if trial % 2 == 0:
                     phi, dphi = _smooth_monotone(rng.uniform(0.1, 0.9))
@@ -632,7 +612,7 @@ def extremal_check(l0: LagrangianPlane, l1: LagrangianPlane, m: LagrangianPlane,
                 samples.append(value)
                 break
             except (DegenerateCrossing, UnresolvedCluster):
-                if attempt == max_retries:
+                if attempt == _MAX_RETRIES:
                     raise
     holds = base_value == target and all(v >= target for v in samples)
     return VerificationRecord(

@@ -36,6 +36,11 @@ from .hermitian import (
 )
 from .symplectic import random_symplectic, standard_form, swap_map
 
+# Search budgets; the candidate count is also the size of the seeded jitter draw.
+_EPSILON_CANDIDATES = 128
+_EPSILON_HALVINGS = 60
+_COMPANION_ATTEMPTS = 64
+
 
 class LagrangianPlane:
     """An n-dimensional Lagrangian subspace of C^n + C^n.
@@ -182,7 +187,7 @@ def apply_symplectic(s, plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_T
 
 
 def epsilon_select(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None,
-                   max_candidates: int = 128, avoid: tuple[float, ...] = ()) -> float:
+                   avoid: tuple[float, ...] = ()) -> float:
     """Pick a positive epsilon at which every plane has a well-conditioned
     X + eps Y.
 
@@ -195,24 +200,24 @@ def epsilon_select(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None,
     if not planes:
         raise ValidationError("epsilon_select needs at least one plane")
     rng = np.random.default_rng(seed)
-    jitter = rng.uniform(0.9, 1.1, size=max_candidates)
-    for k in range(1, max_candidates + 1):
+    jitter = rng.uniform(0.9, 1.1, size=_EPSILON_CANDIDATES)
+    for k in range(1, _EPSILON_CANDIDATES + 1):
         eps = jitter[k - 1] / k
         if any(abs(eps - a) < 1e-9 for a in avoid):
             continue
         if not any(ill_conditioned(p.x + eps * p.y, tol) for p in planes):
             return float(eps)
-    raise SelectionFailed(f"no usable epsilon among {max_candidates} candidates")
+    raise SelectionFailed(f"no usable epsilon among {_EPSILON_CANDIDATES} candidates")
 
 
-def epsilon_small(planes, tol: TolerancePolicy = DEFAULT_TOL, max_halvings: int = 60) -> float:
+def epsilon_small(planes, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Epsilon in the small positive regime: shrinks geometrically until
     eps^-1 I - R^eps is positive semidefinite for every given plane."""
     planes = list(planes)
     if not planes:
         raise ValidationError("epsilon_small needs at least one plane")
     eps = 0.5
-    for _ in range(max_halvings):
+    for _ in range(_EPSILON_HALVINGS):
         try:
             ok = all(
                 trusted_inertia(np.eye(p.n) / eps - robin_map(p, eps, tol).matrix, tol).n_minus == 0
@@ -273,8 +278,7 @@ def random_plane_with_mul(n: int, mul_dim: int, seed=None, tol: TolerancePolicy 
     return plane_from_frame(x, y, tol)
 
 
-def transversal_companion(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None,
-                          max_attempts: int = 64) -> LagrangianPlane:
+def transversal_companion(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None) -> LagrangianPlane:
     """A plane transversal to every plane in the list (at most 3 expected).
 
     Samples graphs of random Hermitian matrices, alternating with their
@@ -286,13 +290,13 @@ def transversal_companion(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None,
         raise ValidationError("transversal_companion needs at least one plane")
     n = planes[0].n
     rng = np.random.default_rng(seed)
-    for attempt in range(max_attempts):
+    for attempt in range(_COMPANION_ATTEMPTS):
         cand = graph_plane(random_hermitian(n, rng), tol)
         if attempt % 2:
             cand = apply_symplectic(swap_map(n), cand, tol)
         if all(intersection_dim(cand, p, tol) == 0 for p in planes):
             return cand
-    raise SelectionFailed(f"no transversal companion found in {max_attempts} attempts")
+    raise SelectionFailed(f"no transversal companion found in {_COMPANION_ATTEMPTS} attempts")
 
 
 def transversal_normalization(la: LagrangianPlane, lb: LagrangianPlane,

@@ -105,6 +105,28 @@ def test_custom_path_document(tmp_path):
     assert maslov_index(d.path("p"), d.plane("M")) == 1
 
 
+def off_grassmannian_document() -> dict:
+    """Custom path from (I; A) to (B; I) with Hermitian A and B that do not
+    commute: both knots are Lagrangian, the midpoint has residual
+    |AB - BA| / 4."""
+    a = np.diag([1.0, -1.0])
+    b = np.array([[0.0, 1.0], [1.0, 0.0]])
+    frames = [{"x": doc.encode_matrix(np.eye(2)), "y": doc.encode_matrix(a)},
+              {"x": doc.encode_matrix(b), "y": doc.encode_matrix(np.eye(2))}]
+    raw = custom_path_document([0.0, 1.0], frames)
+    raw["objects"]["M"] = doc.plane_entry(graph_plane(np.diag([0.3, -0.2])))
+    return raw
+
+
+def test_custom_path_must_stay_lagrangian_between_knots(tmp_path):
+    raw = off_grassmannian_document()
+    with pytest.raises(ValidationError, match="between knots 0 and 1"):
+        doc.loads(json.dumps(raw))
+    bad = tmp_path / "off.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["maslov", "--input", str(bad), "--path", "p", "--reference", "M"]) == 2
+
+
 def test_cli_maslov_does_not_load_scipy_linalg(tmp_path):
     # A fresh interpreter, so modules imported by other tests do not count.
     frames = [{"x": doc.encode_matrix(np.eye(2)), "y": doc.encode_matrix(t * np.eye(2))}

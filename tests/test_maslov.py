@@ -182,6 +182,40 @@ def scalar_knot_path(values, grid=(0.0, 0.5, 1.0), n=1):
     return doc.Document(raw).path("p")
 
 
+def test_path_kinds(rng):
+    # bench/tracer.py groups find_crossings spans by these strings
+    base = minimal_path(random_plane(2, rng), random_plane(2, rng))
+    phi = lambda t: t * t * (3 - 2 * t)
+    dphi = lambda t: 6 * t * (1 - t)
+    kinds = [scalar_segment(0, 1).kind, scaled_projector_path(np.eye(1)).kind, base.kind,
+             scalar_knot_path([0.0, 0.25, 1.0]).kind, reparametrize(base, phi, dphi).kind]
+    assert kinds == ["graph_segment", "scaled_projector", "minimal", "custom",
+                     "reparametrized(minimal)"]
+
+
+def test_document_path_frames_match_its_pieces():
+    # frame_at is the pencil's own formula, so the kernel test at a root
+    # sees exactly the pairing whose roots the pencil found
+    path = scalar_knot_path([0.1, 0.7, -1.3, 2.9], grid=(0.0, 0.17, 0.41, 1.0), n=2)
+    for lo, hi, x, y, xd, yd in path.pieces():
+        for t in np.linspace(lo, hi, 8)[:-1]:
+            px, py = path.frame_at(t)
+            assert np.array_equal(px, x + (t - lo) * xd) and np.array_equal(py, y + (t - lo) * yd)
+    # and it passes through the document's knot frames
+    for t, v in zip((0.0, 0.17, 0.41, 1.0), (0.1, 0.7, -1.3, 2.9)):
+        px, py = path.frame_at(t)
+        assert np.array_equal(px, np.eye(2))
+        assert np.allclose(py, v * np.eye(2), rtol=0, atol=1e-15)
+
+
+@pytest.mark.xfail(strict=True, reason="the 2048-point grid of a callable path merges two "
+                   "crossings 2e-4 apart into one valley; ROADMAP item 4 (spectral flow) "
+                   "replaces the grid")
+def test_callable_path_crossings_inside_one_grid_cell():
+    path = custom_path(lambda t: (np.eye(2), t * np.eye(2)), 2)
+    assert maslov_index(path, graph_plane(np.diag([0.3, 0.3002]))) == 2
+
+
 def test_crossing_at_interior_knot():
     # up with slope 1/2 then slope 3/2: one positive crossing at the knot
     crossings = find_crossings(scalar_knot_path([0.0, 0.25, 1.0]), scalar_graph(0.25))
