@@ -246,10 +246,7 @@ def main(argv=None) -> int:
     except EpsilonDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except LagidxError as exc:
+    except (LagidxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -182,15 +182,6 @@ def pseudoinverse(h, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return hermitian_part((v * inv) @ v.conj().T)
 
 
-def pinv_general(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """SVD pseudoinverse of a general matrix under the shared cutoff."""
-    a = np.asarray(m, dtype=complex)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cut = cutoff_for(s, tol)
-    inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
-    return vh.conj().T @ (inv[:, None] * u.conj().T)
-
-
 def range_projector(h, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the range of a Hermitian matrix."""
     m = as_hermitian(h, tol)

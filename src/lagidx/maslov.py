@@ -44,19 +44,19 @@ from .hermitian import (
     hermitian_part,
     ill_conditioned,
     kernel_basis,
-    rank,
     trusted_inertia,
 )
 from .indices import VerificationRecord, duistermaat_omega
 from .planes import (
     LagrangianPlane,
-    intersection_basis,
+    pairing_matrix,
     plane_from_frame,
     random_plane,
 )
 from .symplectic import standard_form
 
-# Sampling of frame-callable paths: crossings, monotonicity, derivative.
+# Sampling of frame-callable paths (crossings, monotonicity, derivative)
+# and of reparametrization schedules.
 _GRID = 2048
 _MONOTONE_GRID = 256
 _FD_STEP = 1e-6
@@ -184,10 +184,16 @@ def reparametrize(path, phi, dphi) -> ReparametrizedPath:
     """Precompose a path with a smooth increasing bijection of [0, 1].
 
     Crossings are found on the base path and mapped back through phi, so
-    phi must fix both ends; a reversing schedule is rejected.
+    phi must fix both ends and must not turn back: on 256 points phi must
+    increase strictly and dphi must be positive, except at t = 0 and t = 1
+    where it may vanish (as for t^2 (3 - 2t)).
     """
     if abs(phi(0.0)) > DEFAULT_TOL.residual_tol or abs(phi(1.0) - 1.0) > DEFAULT_TOL.residual_tol:
         raise ValidationError("reparametrize needs phi(0) = 0 and phi(1) = 1")
+    ts = np.linspace(0.0, 1.0, _MONOTONE_GRID)
+    if (np.any(np.diff([phi(float(t)) for t in ts]) <= 0.0)
+            or any(dphi(float(t)) <= 0.0 for t in ts[1:-1])):
+        raise ValidationError("reparametrize needs an increasing phi with dphi > 0 inside (0, 1)")
     return ReparametrizedPath(path, phi, dphi)
 
 
@@ -490,52 +496,27 @@ def _pair_normalization(l0: LagrangianPlane, l1: LagrangianPlane,
     """Symplectic basis Z and projector Q with Z(horizontal) = L0 and
     Z(graph of Q) = L1, where ker Q matches the intersection L0 ∩ L1.
 
-    Columns are built from an intersection basis extended inside each
-    plane, with the completion solved through the symplectic pairing.
+    One SVD U S V* of the pairing matrix gives everything: with r its
+    count-rule rank and a = (X0; Y0) U, the last n - r columns f of a are
+    an orthonormal basis of L0 ∩ L1, and the first r columns g pair with
+    h = (X1; Y1) V_r as g* J h = S_r.  The completion is closed form:
+    b_g = h S_r^-1 - g and b_f = -J f + g (b_g + J g)* f, so that
+    Z = [g, f, b_g, b_f] and Q = diag(I_r, 0).
     """
     n = l0.n
     j = standard_form(n)
-    f = intersection_basis(l0, l1, tol)
-    k = f.shape[1]
-
-    def complement_within(plane: LagrangianPlane) -> np.ndarray:
-        resid = plane.stacked - f @ (f.conj().T @ plane.stacked)
-        u, s, _ = np.linalg.svd(resid, full_matrices=False)
-        if count_above_cutoff(s, tol) != n - k:
-            raise DualBasisFailure("complement inside the plane has unexpected rank")
-        return u[:, : n - k]
-
-    if k < n:
-        g = complement_within(l0)
-        h = complement_within(l1)
-        pairing = g.conj().T @ j @ h
-        if rank(pairing, tol) < n - k:
-            raise DualBasisFailure("pairing between plane complements is singular")
-        h_dual = h @ np.linalg.inv(pairing)
-        a = np.hstack([f, g])
-        b_right = h_dual - g
-    else:
-        a = f
-        b_right = np.zeros((2 * n, 0), dtype=complex)
-
-    if k > 0:
-        known = np.hstack([a, b_right])
-        system = known.conj().T @ j
-        rhs = np.zeros((2 * n - k, k), dtype=complex)
-        rhs[:k, :k] = np.eye(k)
-        b_solve, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        skew = b_solve.conj().T @ j @ b_solve
-        b_left = b_solve + f @ (skew / 2.0)
-        b = np.hstack([b_left, b_right])
-    else:
-        b = b_right
-
-    z = np.hstack([a, b])
+    u, s, vh = np.linalg.svd(pairing_matrix(l0, l1))
+    r = count_above_cutoff(s, tol)
+    a = l0.stacked @ u
+    g, f = a[:, :r], a[:, r:]
+    b_g = l1.stacked @ vh[:r].conj().T / s[:r] - g
+    b_f = -j @ f + g @ ((b_g + j @ g).conj().T @ f)
+    z = np.hstack([a, b_g, b_f])
     residual = np.linalg.norm(z.conj().T @ j @ z - j)
     if residual > tol.residual_tol * max(1.0, np.linalg.norm(z) ** 2):
         raise DualBasisFailure(f"pair normalization residual {residual:.3e} too large")
     q = np.zeros((n, n), dtype=complex)
-    q[k:, k:] = np.eye(n - k)
+    q[:r, :r] = np.eye(r)
     return z, q
 
 
@@ -545,7 +526,9 @@ def minimal_path(l0: LagrangianPlane, l1: LagrangianPlane,
     the Duistermaat index of (L0, L1, M) for every reference plane M.
 
     The path is the symplectic image of t -> graph(t Q): its crossing
-    form is congruent to Q, hence positive semidefinite everywhere.
+    form is congruent to Q, hence positive semidefinite everywhere.  Z
+    and Q = diag(I_r, 0) come from one SVD of the pairing matrix, r being
+    its rank, so the path is constant on L0 ∩ L1.
     """
     if l0.n != l1.n:
         raise ValidationError("planes live in different dimensions")

@@ -19,17 +19,14 @@ from .errors import (
     NotLagrangian,
     SelectionFailed,
     SingularEpsilon,
-    ToleranceBreakdown,
     ValidationError,
 )
 from .hermitian import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_hermitian,
-    count_above_cutoff,
     hermitian_part,
     ill_conditioned,
-    kernel_basis,
     random_hermitian,
     rank,
     trusted_inertia,
@@ -161,21 +158,6 @@ def principal_angles(l1: LagrangianPlane, l2: LagrangianPlane) -> np.ndarray:
     z1, z2 = l1.stacked, l2.stacked
     s = np.linalg.svd(z2 - z1 @ (z1.conj().T @ z2), compute_uv=False)
     return np.arcsin(np.clip(s, 0.0, 1.0))
-
-
-def intersection_basis(l1: LagrangianPlane, l2: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of L1 ∩ L2 as columns in C^2n."""
-    z1, z2 = l1.stacked, l2.stacked
-    pairs = kernel_basis(np.hstack([z1, -z2]), tol)
-    if pairs.shape[1] == 0:
-        return np.zeros((2 * l1.n, 0), dtype=complex)
-    vecs = z1 @ pairs[: l1.n]
-    u, s, _ = np.linalg.svd(vecs, full_matrices=False)
-    k = count_above_cutoff(s, tol)
-    expected = intersection_dim(l1, l2, tol)
-    if k != expected:
-        raise ToleranceBreakdown(f"intersection basis rank {k} does not match dimension {expected}")
-    return u[:, :k]
 
 
 def apply_symplectic(s, plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:

@@ -21,7 +21,6 @@ from .hermitian import (
     count_above_cutoff,
     hermitian_part,
     kernel_basis,
-    pinv_general,
 )
 from .planes import LagrangianPlane, plane_from_frame, plane_from_stacked
 
@@ -40,13 +39,15 @@ def decompose(plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> Rel
     """Split a plane into (domain projector, operator part, mul dimension).
 
     The domain is the column space of the X block; the operator part is
-    P Y X^+ compressed to the domain and symmetrized.
+    P Y X^+ compressed to the domain and symmetrized, with the
+    pseudoinverse X^+ = V_r S_r^-1 U_r* taken from the same SVD.
     """
-    u, s, _ = np.linalg.svd(plane.x)
+    u, s, vh = np.linalg.svd(plane.x)
     r = count_above_cutoff(s, tol)
     ur = u[:, :r]
     p = hermitian_part(ur @ ur.conj().T)
-    op = hermitian_part(p @ (plane.y @ pinv_general(plane.x, tol)) @ p)
+    x_pinv = vh[:r].conj().T @ (ur.conj().T / s[:r, None])
+    op = hermitian_part(p @ (plane.y @ x_pinv) @ p)
     return RelationParts(p, op, plane.n - r)
 
 

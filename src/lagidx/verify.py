@@ -369,7 +369,6 @@ def _retry_degenerate(draw_and_check, rng, retries=5):
         except (DegenerateCrossing, UnresolvedCluster) as exc:
             if attempt == retries:
                 return False, {"error": str(exc)}
-    return False, {}
 
 
 def check_minimal_path(n, rng, tol):

@@ -13,7 +13,7 @@ from lagidx import (
     range_projector,
     rank,
 )
-from lagidx.hermitian import as_hermitian, hermitian_part, ill_conditioned, pinv_general
+from lagidx.hermitian import as_hermitian, hermitian_part, ill_conditioned
 
 # With rank_rel_tol = 1e-9 and largest value 1, the count rule's cutoff is
 # exactly 1e-9: a value at the cutoff is zero, the next double above is not.
@@ -117,12 +117,6 @@ def test_range_projector_examples(tol):
     q = range_projector(np.diag([1.0, -2.0, 0.0]))
     assert np.allclose(q @ q, q)
     assert np.allclose(q, q.conj().T)
-
-
-def test_pinv_general_rectangular(tol):
-    m = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    mp = pinv_general(m, tol)
-    assert np.allclose(m @ mp @ m, m)
 
 
 def test_rank(tol):

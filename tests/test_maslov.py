@@ -6,7 +6,9 @@ from lagidx import (
     NoCrossing,
     UnresolvedCluster,
     ValidationError,
+    apply_symplectic,
     crossing_form,
+    direct_sum_planes,
     duistermaat_omega,
     extremal_check,
     find_crossings,
@@ -21,6 +23,7 @@ from lagidx import (
     plane_from_frame,
     random_plane,
     random_plane_with_mul,
+    random_symplectic,
     reparametrize,
     scaled_projector_path,
     vertical_plane,
@@ -274,6 +277,11 @@ def test_reparametrization_keeps_index(rng):
     assert maslov_index(reparametrize(path, phi, dphi), m) == base
     with pytest.raises(ValidationError):
         reparametrize(path, lambda t: 1 - t, lambda t: -1.0)
+    # Fixes both ends but turns back near t = 1/2 (phi' = -0.88 there):
+    # the segment 0 -> 1 would cross graph(0.5) up, down and up again.
+    with pytest.raises(ValidationError):
+        reparametrize(scalar_segment(0, 1), lambda t: t + 0.3 * np.sin(2 * np.pi * t),
+                      lambda t: 1 + 0.6 * np.pi * np.cos(2 * np.pi * t))
 
 
 def test_custom_path_finite_differences():
@@ -308,6 +316,20 @@ def test_minimal_path_random(rng, tol):
         assert planes_same(path, 0.0, l0) and planes_same(path, 1.0, l1)
         assert is_nondecreasing(path, tol)
         assert maslov_index(path, m, tol) == duistermaat_omega(l0, l1, m, tol).value
+    # Planes that meet: S(C + A) and S(C + B) share the k-dimensional
+    # factor C, scrambled by a random symplectic map S.
+    for n in range(2, 7):
+        for k in range(1, n):
+            s = random_symplectic(n, rng)
+            common = random_plane(k, rng)
+            l0, l1 = (apply_symplectic(s, direct_sum_planes(common, random_plane(n - k, rng)))
+                      for _ in range(2))
+            m = random_plane(n, rng)
+            assert intersection_dim(l0, l1, tol) == k
+            path = minimal_path(l0, l1, tol)
+            assert planes_same(path, 0.0, l0) and planes_same(path, 1.0, l1)
+            assert is_nondecreasing(path, tol)
+            assert maslov_index(path, m, tol) == duistermaat_omega(l0, l1, m, tol).value
 
 
 def planes_same(path, t, plane):
