@@ -1,0 +1,110 @@
+"""Print one stable line per item of the benchmark's triple and Maslov pools.
+
+Usage (from the root of a checkout):
+
+    python3 scripts/pool_digest.py --seeds 1 2 3 4 5 [--pools triples-small maslov-paths]
+
+Each line holds everything the library decided for one pool item, with
+floats written as hex so that two checkouts compare bit for bit:
+
+* triples: the omega, robin and reduce reports (value, ``epsilon_used``,
+  diagnostics), the Kashiwara value, the three difference frames, the
+  omega value after subtraction and the ``decompose`` ``mul_dim``;
+* Maslov paths: every crossing (t, dim, form inertia) and the index.
+
+A typed ``LagidxError`` prints as its class name and message.  Comparing
+two checkouts is then a ``diff`` of their outputs.  The pools come from
+``bench/workloads.py``, which this script imports and does not change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import lagidx  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+POOLS = ("triples-small", "triples-large", "maslov-paths")
+
+
+def stable(value) -> str:
+    """Text of a value with every float as hex and every array as hex bytes."""
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, np.ndarray):
+        return np.ascontiguousarray(value).tobytes().hex()
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{k}:{stable(v)}" for k, v in sorted(value.items())) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(stable(v) for v in value) + "]"
+    return repr(value)
+
+
+def attempt(op) -> str:
+    try:
+        return stable(op())
+    except lagidx.LagidxError as exc:
+        return f"{type(exc).__name__}({exc})"
+
+
+def report(r: lagidx.IndexReport) -> list:
+    return [r.value, r.epsilon_used, r.diagnostics]
+
+
+def triple_line(item) -> list[str]:
+    l1, l2, l3 = item.planes
+    diffs = []
+
+    def differences():
+        diffs.extend(lagidx.difference(p, item.graph) for p in item.planes)
+        return [np.vstack([q.x, q.y]) for q in diffs]
+
+    return [
+        "omega=" + attempt(lambda: report(lagidx.duistermaat_omega(l1, l2, l3))),
+        "robin=" + attempt(lambda: report(lagidx.duistermaat_robin(l1, l2, l3, seed=item.robin_seed))),
+        "reduce=" + attempt(lambda: report(lagidx.duistermaat_reduce(l1, l2, l3, seed=item.reduce_seed))),
+        "kashiwara=" + attempt(lambda: lagidx.kashiwara(l1, l2, l3)),
+        "differences=" + attempt(differences),
+        "omega_diff=" + (attempt(lambda: lagidx.duistermaat_omega(*diffs).value)
+                         if len(diffs) == 3 else "skipped"),
+        "mul_dim=" + attempt(lambda: lagidx.decompose(item.planes[item.decompose_index]).mul_dim),
+    ]
+
+
+def maslov_line(item) -> list[str]:
+    def crossings():
+        found = lagidx.find_crossings(item.path, item.reference)
+        return [[c.t, c.dim, c.form_inertia.as_tuple()] for c in found]
+
+    return [
+        "crossings=" + attempt(crossings),
+        "maslov=" + attempt(lambda: lagidx.maslov_index(item.path, item.reference)),
+    ]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--pools", nargs="+", choices=POOLS, default=list(POOLS))
+    args = parser.parse_args()
+    for name in args.pools:
+        workload = WORKLOADS[name]()
+        line = maslov_line if name == "maslov-paths" else triple_line
+        for seed in args.seeds:
+            for item in workload.setup(seed):
+                tag = f"{name} {item.seed[0]}/{item.seed[1]}"
+                print(tag, " ".join(line(item)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

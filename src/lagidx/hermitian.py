@@ -10,8 +10,14 @@ Every zero/nonzero decision in the package is made here, by two rules:
   ``s_max / s_min > 1 / rank_rel_tol``.  Without the floor of 1 it
   differs from the count rule when ``s_max < 1``.
 
+Both rules also take a stack of matrices (or of value sets) along the
+leading axes and decide each one with its own cutoff, exactly as for a
+single matrix; one call then replaces a loop of small LAPACK calls.
+
 :func:`inertia` validates its input; :func:`trusted_inertia` serves
-matrices the library builds exactly Hermitian itself.
+matrices the library builds exactly Hermitian itself.  In the same way
+``planes.trusted_plane`` only orthonormalizes frames that are Lagrangian
+and injective by construction.
 """
 
 from __future__ import annotations
@@ -83,9 +89,9 @@ def matrix_hash(m: np.ndarray) -> str:
 
 
 def hermitian_part(a) -> np.ndarray:
-    """Return (A + A*)/2."""
+    """Return (A + A*)/2, for one matrix or each matrix of a stack."""
     m = np.asarray(a, dtype=complex)
-    return (m + m.conj().T) / 2
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def as_hermitian(a, tol: TolerancePolicy = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
@@ -97,21 +103,33 @@ def as_hermitian(a, tol: TolerancePolicy = DEFAULT_TOL, what: str = "matrix") ->
     return (m + m.conj().T) / 2
 
 
-def cutoff_for(values: np.ndarray, tol: TolerancePolicy) -> float:
-    """Zero cutoff for a set of eigen- or singular values."""
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    return tol.rank_rel_tol * max(1.0, scale)
+def _cutoff(scale, tol: TolerancePolicy):
+    """The count rule's cutoff for a set whose largest absolute value is ``scale``."""
+    return tol.rank_rel_tol * np.maximum(1.0, scale)
 
 
-def count_above_cutoff(values: np.ndarray, tol: TolerancePolicy) -> int:
-    """The count rule: how many values exceed the cutoff of their set."""
-    return int(np.sum(values > cutoff_for(values, tol)))
+def cutoff_for(values: np.ndarray, tol: TolerancePolicy):
+    """Zero cutoff of a set of eigen- or singular values; for a stack of
+    sets along the last axis, one cutoff per set."""
+    return _cutoff(np.max(np.abs(values), axis=-1, initial=0.0), tol)
 
 
-def ill_conditioned(m: np.ndarray, tol: TolerancePolicy) -> bool:
-    """The conditioning rule: ``s_max / s_min > 1 / rank_rel_tol``."""
+def count_above_cutoff(values: np.ndarray, tol: TolerancePolicy):
+    """The count rule: how many values exceed the cutoff of their set.
+
+    An int for one set; for a stack of sets, an array of counts."""
+    counts = np.sum(values > cutoff_for(values, tol)[..., None], axis=-1)
+    return int(counts) if counts.ndim == 0 else counts
+
+
+def ill_conditioned(m: np.ndarray, tol: TolerancePolicy):
+    """The conditioning rule: ``s_max / s_min > 1 / rank_rel_tol``.
+
+    A bool for one matrix; for a stack, one bool per matrix."""
     s = np.linalg.svd(m, compute_uv=False)
-    return s[-1] <= 0.0 or float(s[0] / s[-1]) > 1.0 / tol.rank_rel_tol
+    s_max, s_min = s[..., 0], s[..., -1]
+    singular = s_min <= 0.0
+    return singular | (s_max / np.where(singular, 1.0, s_min) > 1.0 / tol.rank_rel_tol)
 
 
 def eigh_or_raise(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,20 +139,35 @@ def eigh_or_raise(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise EigendecompositionError(f"eigh failed for matrix {matrix_hash(h)}") from exc
 
 
-def trusted_inertia(h: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
+def trusted_inertia(h: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL):
     """Inertia without input validation, for matrices that are exactly
     Hermitian by construction: outputs of ``hermitian_part``,
-    ``as_hermitian`` or the omega form, and their sums and differences."""
+    ``as_hermitian`` or the omega form, and their sums and differences.
+
+    A stack of shape (k, n, n) takes one ``eigvalsh`` call and gives a
+    list of k inertias, each with the cutoff of its own matrix."""
     try:
         w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(f"eigvalsh failed for matrix {matrix_hash(h)}") from exc
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValidationError(f"matrix {matrix_hash(h)} has non-finite eigenvalues")
-    cut = cutoff_for(w, tol)
-    n_minus = int(np.sum(w < -cut))
-    n_plus = int(np.sum(w > cut))
-    return Inertia(n_minus, h.shape[0] - n_minus - n_plus, n_plus)
+    if w.ndim == 1:
+        return _sorted_inertia(w, tol)
+    return [_sorted_inertia(v, tol) for v in w]
+
+
+def _sorted_inertia(w: np.ndarray, tol: TolerancePolicy) -> Inertia:
+    """The count rule on eigenvalues in ascending order, as ``eigvalsh``
+    returns them: the largest absolute value sits at one of the two ends,
+    and each sign count is one binary search."""
+    n = w.size
+    if n == 0:
+        return Inertia(0, 0, 0)
+    cut = _cutoff(max(-w[0], w[-1]), tol)
+    n_minus = int(w.searchsorted(-cut))
+    n_plus = n - int(w.searchsorted(cut, "right"))
+    return Inertia(n_minus, n - n_minus - n_plus, n_plus)
 
 
 def inertia(h, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:

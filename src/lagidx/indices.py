@@ -34,13 +34,13 @@ from .hermitian import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_hermitian,
+    count_above_cutoff,
     hermitian_part,
     inertia,
     inverse_or_raise,
     kernel_basis,
     pseudoinverse,
     range_projector,
-    rank,
     trusted_inertia,
 )
 from .planes import (
@@ -48,7 +48,7 @@ from .planes import (
     epsilon_select,
     intersection_dim,
     pairing_matrix,
-    robin_map,
+    robin_matrices,
     transversal_companion,
     transversal_normalization,
     vertical_plane,
@@ -135,12 +135,9 @@ def _robin_combination(nm21: int, nm31: int, nm32: int) -> int:
 
 
 def _robin_value(planes, eps: float, tol: TolerancePolicy) -> int:
-    r1, r2, r3 = (robin_map(p, eps, tol).matrix for p in planes)
-    return _robin_combination(
-        trusted_inertia(r2 - r1, tol).n_minus,
-        trusted_inertia(r3 - r1, tol).n_minus,
-        trusted_inertia(r3 - r2, tol).n_minus,
-    )
+    r = robin_matrices(planes, eps, tol)
+    i21, i31, i32 = trusted_inertia(r[[1, 2, 2]] - r[[0, 0, 1]], tol)
+    return _robin_combination(i21.n_minus, i31.n_minus, i32.n_minus)
 
 
 def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
@@ -151,7 +148,9 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
     The value is constant in epsilon away from a finite bad set, so the
     computation runs twice at independently selected epsilons and any
     disagreement is raised as a sharp tolerance alarm.  Passing an
-    explicit ``epsilon`` skips selection and the double check.
+    explicit ``epsilon`` skips selection and the double check.  An int
+    ``seed`` selects the second epsilon with ``seed + 1``; a Generator
+    draws both epsilons from its stream in turn.
     """
     n = _check_triple(l1, l2, l3)
     planes = (l1, l2, l3)
@@ -160,7 +159,11 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
         return IndexReport(_check_bounds(value, n, "robin"), "robin", float(epsilon),
                            {"forced_epsilon": True})
     eps1 = epsilon_select(planes, tol, seed)
-    eps2 = epsilon_select(planes, tol, None if seed is None else seed + 1, avoid=(eps1,))
+    if isinstance(seed, np.random.Generator):
+        seed2 = seed
+    else:
+        seed2 = None if seed is None else seed + 1
+    eps2 = epsilon_select(planes, tol, seed2, avoid=(eps1,))
     v1 = _robin_value(planes, eps1, tol)
     v2 = _robin_value(planes, eps2, tol)
     if v1 != v2:
@@ -170,13 +173,15 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
                        {"epsilon_second": eps2, "value_second": v2})
 
 
-def _graph_matrix_in_basis(z: np.ndarray, plane: LagrangianPlane, tol: TolerancePolicy) -> np.ndarray:
-    """Hermitian B with Z^-1 plane = graph of B; raises DualBasisFailure
-    when the transformed frame is not a graph at working precision."""
-    n = plane.n
-    w = np.linalg.solve(z, plane.stacked)
-    xb, yb = w[:n], w[n:]
-    if rank(xb, tol) < n:
+def _graph_matrices_in_bases(zs: np.ndarray, frames: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Stack of Hermitian B_k with Z_k^-1 (plane k) = graph of B_k, from
+    stacks of bases Z_k and plane frames, with one stacked solve, rank
+    check and inverse; raises DualBasisFailure when any transformed frame
+    is not a graph at working precision."""
+    n = frames.shape[-1]
+    w = np.linalg.solve(zs, frames)
+    xb, yb = w[:, :n], w[:, n:]
+    if (count_above_cutoff(np.linalg.svd(xb, compute_uv=False), tol) < n).any():
         raise DualBasisFailure("transformed plane is not a graph")
     return hermitian_part(yb @ np.linalg.inv(xb))
 
@@ -199,9 +204,9 @@ def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianP
             l4 = transversal_companion((l1, l2, l3), tol, rng)
             z1 = transversal_normalization(l1, l4, tol)
             z2 = transversal_normalization(l2, l4, tol)
-            t12 = trusted_inertia(_graph_matrix_in_basis(z1, l2, tol), tol).n_minus
-            t13 = trusted_inertia(_graph_matrix_in_basis(z1, l3, tol), tol).n_minus
-            t23 = trusted_inertia(_graph_matrix_in_basis(z2, l3, tol), tol).n_minus
+            graphs = _graph_matrices_in_bases(np.stack([z1, z1, z2]),
+                                              np.stack([l2.stacked, l3.stacked, l3.stacked]), tol)
+            t12, t13, t23 = (i.n_minus for i in trusted_inertia(graphs, tol))
             value = _check_bounds(t12 - t13 + t23, n, "reduce")
             return IndexReport(value, "reduce", None,
                                {"terms": (t12, t13, t23)})

@@ -423,7 +423,7 @@ def _grid_crossings(path, m: LagrangianPlane, tol: TolerancePolicy) -> list[Cros
     stack = np.stack([_pairing_at(path, m, float(t)) for t in ts])
     svals = np.linalg.svd(stack, compute_uv=False)
     sig = svals[:, -1]
-    cut = cutoff_for(svals, tol)
+    cut = cutoff_for(svals.ravel(), tol)
     step = ts[1] - ts[0]
     slope = float(np.max(np.abs(np.diff(sig)))) / step
     trigger = max(2.0 * slope * step, 64.0 * cut)

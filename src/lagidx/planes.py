@@ -25,6 +25,7 @@ from .hermitian import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_hermitian,
+    count_above_cutoff,
     hermitian_part,
     ill_conditioned,
     random_hermitian,
@@ -95,12 +96,23 @@ def validate_frame(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray
     return xm, ym
 
 
+def trusted_plane(z: np.ndarray) -> LagrangianPlane:
+    """Canonical form of the plane spanned by a 2n x n complex frame that
+    is injective and Lagrangian by construction.
+
+    It only orthonormalizes the frame, so it serves frames the library
+    builds itself; input from outside goes through
+    :func:`plane_from_frame`, which checks the frame first.
+    """
+    q, _ = np.linalg.qr(z)
+    n = z.shape[1]
+    return LagrangianPlane(q[:n], q[n:])
+
+
 def plane_from_frame(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
     """Validate a frame and return the spanned plane in canonical form."""
     xm, ym = validate_frame(x, y, tol)
-    q, _ = np.linalg.qr(np.vstack([xm, ym]))
-    n = xm.shape[0]
-    return LagrangianPlane(q[:n], q[n:])
+    return trusted_plane(np.vstack([xm, ym]))
 
 
 def plane_from_stacked(z, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
@@ -113,9 +125,14 @@ def plane_from_stacked(z, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane
 
 
 def graph_plane(a, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
-    """Graph {(x, Ax)} of a Hermitian matrix."""
+    """Graph {(x, Ax)} of a Hermitian matrix.
+
+    Once A passes ``as_hermitian``, the frame (I; A) is injective and
+    exactly Lagrangian, so it is not checked again."""
     am = as_hermitian(a, tol, "graph matrix")
-    return plane_from_frame(np.eye(am.shape[0]), am, tol)
+    if am.shape[0] < 1:
+        raise ValidationError("frames need dimension at least 1")
+    return trusted_plane(np.vstack([np.eye(am.shape[0]), am]))
 
 
 def horizontal_plane(n: int) -> LagrangianPlane:
@@ -168,6 +185,17 @@ def apply_symplectic(s, plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_T
     return plane_from_stacked(sm @ plane.stacked, tol)
 
 
+def _stacked_frames(planes, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The X blocks and the Y blocks of planes of one dimension, each as
+    a (k, n, n) stack."""
+    planes = list(planes)
+    if not planes:
+        raise ValidationError(f"{what} needs at least one plane")
+    if any(p.n != planes[0].n for p in planes):
+        raise ValidationError("planes live in different dimensions")
+    return np.stack([p.x for p in planes]), np.stack([p.y for p in planes])
+
+
 def epsilon_select(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None,
                    avoid: tuple[float, ...] = ()) -> float:
     """Pick a positive epsilon at which every plane has a well-conditioned
@@ -177,17 +205,16 @@ def epsilon_select(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None,
     jitter in [0.9, 1.1]; the set of bad epsilon values is finite, so the
     schedule succeeds generically.  Candidates closer than 1e-9 to any
     value in ``avoid`` are skipped (used for independent double checks).
+    The planes must share one dimension; each candidate is one stacked SVD.
     """
-    planes = list(planes)
-    if not planes:
-        raise ValidationError("epsilon_select needs at least one plane")
+    xs, ys = _stacked_frames(planes, "epsilon_select")
     rng = np.random.default_rng(seed)
     jitter = rng.uniform(0.9, 1.1, size=_EPSILON_CANDIDATES)
     for k in range(1, _EPSILON_CANDIDATES + 1):
         eps = jitter[k - 1] / k
         if any(abs(eps - a) < 1e-9 for a in avoid):
             continue
-        if not any(ill_conditioned(p.x + eps * p.y, tol) for p in planes):
+        if not ill_conditioned(xs + eps * ys, tol).any():
             return float(eps)
     raise SelectionFailed(f"no usable epsilon among {_EPSILON_CANDIDATES} candidates")
 
@@ -220,14 +247,23 @@ def robin_map(plane: LagrangianPlane, epsilon: float, tol: TolerancePolicy = DEF
     symmetrized after an asymmetry check, and ill-conditioned X + eps Y
     raises SingularEpsilon.
     """
-    t = plane.x + epsilon * plane.y
-    if ill_conditioned(t, tol):
+    return RobinMap(float(epsilon), robin_matrices((plane,), epsilon, tol)[0])
+
+
+def robin_matrices(planes, epsilon: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """The matrices of :func:`robin_map` for planes of one dimension, as a
+    (k, n, n) stack built with one stacked SVD and one stacked inverse.
+    Raises SingularEpsilon when any of the planes fails."""
+    xs, ys = _stacked_frames(planes, "robin_matrices")
+    t = xs + epsilon * ys
+    if ill_conditioned(t, tol).any():
         raise SingularEpsilon(f"cond(X + {epsilon} Y) exceeds 1/rank_rel_tol")
-    r = plane.y @ np.linalg.inv(t)
-    asym = np.linalg.norm(r - r.conj().T)
-    if asym > np.sqrt(tol.residual_tol) * max(1.0, np.linalg.norm(r)):
-        raise SingularEpsilon(f"Robin map asymmetry {asym:.3e} signals a bad epsilon")
-    return RobinMap(float(epsilon), hermitian_part(r))
+    r = ys @ np.linalg.inv(t)
+    asym = np.linalg.norm(r - r.conj().swapaxes(-1, -2), axis=(-2, -1))
+    bound = np.sqrt(tol.residual_tol) * np.maximum(1.0, np.linalg.norm(r, axis=(-2, -1)))
+    if (asym > bound).any():
+        raise SingularEpsilon(f"Robin map asymmetry {asym.max():.3e} signals a bad epsilon")
+    return hermitian_part(r)
 
 
 def random_plane(n: int, seed=None, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
@@ -265,18 +301,18 @@ def transversal_companion(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None)
 
     Samples graphs of random Hermitian matrices, alternating with their
     swapped versions; failure after the attempt budget signals genuinely
-    ill-conditioned inputs and raises SelectionFailed.
+    ill-conditioned inputs and raises SelectionFailed.  Each candidate is
+    tested against all planes with one stacked SVD of its pairings.
     """
-    planes = list(planes)
-    if not planes:
-        raise ValidationError("transversal_companion needs at least one plane")
-    n = planes[0].n
+    xs, ys = _stacked_frames(planes, "transversal_companion")
+    n = xs.shape[-1]
     rng = np.random.default_rng(seed)
     for attempt in range(_COMPANION_ATTEMPTS):
         cand = graph_plane(random_hermitian(n, rng), tol)
         if attempt % 2:
-            cand = apply_symplectic(swap_map(n), cand, tol)
-        if all(intersection_dim(cand, p, tol) == 0 for p in planes):
+            cand = trusted_plane(swap_map(n) @ cand.stacked)
+        pairings = cand.x.conj().T @ ys - cand.y.conj().T @ xs
+        if (count_above_cutoff(np.linalg.svd(pairings, compute_uv=False), tol) == n).all():
             return cand
     raise SelectionFailed(f"no transversal companion found in {_COMPANION_ATTEMPTS} attempts")
 

@@ -22,7 +22,7 @@ from .hermitian import (
     hermitian_part,
     kernel_basis,
 )
-from .planes import LagrangianPlane, plane_from_frame, plane_from_stacked
+from .planes import LagrangianPlane, plane_from_frame, trusted_plane
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,9 @@ def difference(l: LagrangianPlane, m: LagrangianPlane, tol: TolerancePolicy = DE
 
     Pairs (s, t) with X_L s = X_M t form the kernel of [X_L, -X_M]; each
     pair maps to the vector (X_L s, Y_L s - Y_M t), and the span of those
-    images is the difference plane.
+    images is the difference plane.  Its orthonormal SVD basis is
+    injective by the rank check and Lagrangian because both planes are,
+    so it is not validated again.
     """
     if l.n != m.n:
         raise ValidationError("planes live in different dimensions")
@@ -84,7 +86,7 @@ def difference(l: LagrangianPlane, m: LagrangianPlane, tol: TolerancePolicy = DE
     r = count_above_cutoff(sv, tol)
     if r != n:
         raise RankDeficient(f"difference span has rank {r}, expected {n}")
-    return plane_from_stacked(u[:, :n], tol)
+    return trusted_plane(u[:, :n])
 
 
 def inverse(plane: LagrangianPlane) -> LagrangianPlane:

@@ -13,7 +13,13 @@ from lagidx import (
     range_projector,
     rank,
 )
-from lagidx.hermitian import as_hermitian, hermitian_part, ill_conditioned
+from lagidx.hermitian import (
+    as_hermitian,
+    count_above_cutoff,
+    hermitian_part,
+    ill_conditioned,
+    trusted_inertia,
+)
 
 # With rank_rel_tol = 1e-9 and largest value 1, the count rule's cutoff is
 # exactly 1e-9: a value at the cutoff is zero, the next double above is not.
@@ -130,6 +136,30 @@ def test_rank(tol):
     small = np.diag([0.5, 6e-10])
     assert not ill_conditioned(small, tol)
     assert rank(small, tol) == 1
+
+
+def test_stacked_rules_decide_each_matrix_alone(tol):
+    # Scales from 1e-4 to 1e6 in one stack, and values exactly at and just
+    # above the 1e-9 cutoff: a cutoff shared across the stack (1e-3 from
+    # the 1e6 slice) would zero every small value below.
+    diagonals = [
+        (1e6, 1e-4),
+        (1.0, 1e-10),
+        (1.0, AT_CUTOFF),
+        (1.0, -ABOVE_CUTOFF),
+        (-0.5, 6e-10),
+        (1e-4, -1e-4),
+    ]
+    stack = np.array([np.diag(d) for d in diagonals], dtype=complex)
+    ranks = count_above_cutoff(np.linalg.svd(stack, compute_uv=False), tol)
+    assert ranks.tolist() == [rank(m, tol) for m in stack] == [1, 1, 1, 2, 1, 2]
+    inertias = trusted_inertia(stack, tol)
+    assert inertias == [inertia(m, tol) for m in stack]
+    assert [i.as_tuple() for i in inertias] == [
+        (0, 1, 1), (0, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 0, 1)]
+    conditioning = ill_conditioned(stack, tol)
+    assert conditioning.tolist() == [bool(ill_conditioned(m, tol)) for m in stack]
+    assert conditioning.tolist() == [True, True, False, False, False, False]
 
 
 def test_tolerance_policy_validation():

@@ -5,6 +5,7 @@ from lagidx import (
     LagidxError,
     LagrangianPlane,
     NotInvertible,
+    SingularEpsilon,
     TransversalityViolated,
     coboundary,
     duistermaat,
@@ -13,6 +14,7 @@ from lagidx import (
     duistermaat_reduce,
     duistermaat_relation_vertical,
     duistermaat_robin,
+    epsilon_select,
     graph_plane,
     haynsworth_check,
     horizontal_plane,
@@ -92,6 +94,23 @@ def test_robin_reports_epsilons(rng):
     assert report.epsilon_used is not None
     assert report.epsilon_used != report.diagnostics["epsilon_second"]
     assert report.value == duistermaat_omega(*triple).value
+
+
+def test_robin_generator_seed(rng):
+    # A Generator seed draws both epsilons from its stream in turn.
+    triple = tuple(random_plane(3, rng) for _ in range(3))
+    report = duistermaat_robin(*triple, seed=np.random.default_rng(5))
+    stream = np.random.default_rng(5)
+    eps1 = epsilon_select(triple, seed=stream)
+    eps2 = epsilon_select(triple, seed=stream, avoid=(eps1,))
+    assert (report.epsilon_used, report.diagnostics["epsilon_second"]) == (eps1, eps2)
+    assert report.value == duistermaat_omega(*triple).value
+
+
+def test_robin_forced_singular_epsilon():
+    # The canonical frame of graph(-2) has X + Y / 2 = 0 exactly.
+    with pytest.raises(SingularEpsilon):
+        duistermaat_robin(scalar_graph(-2), scalar_graph(0), scalar_graph(1), epsilon=0.5)
 
 
 def test_reduce_agrees_with_omega(rng):

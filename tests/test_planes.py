@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from lagidx import (
+    NotHermitian,
     NotInjective,
     NotLagrangian,
+    TolerancePolicy,
+    ValidationError,
     apply_symplectic,
     epsilon_select,
     epsilon_small,
@@ -22,7 +25,7 @@ from lagidx import (
     vertical_plane,
 )
 from lagidx.hermitian import random_hermitian
-from lagidx.planes import principal_angles
+from lagidx.planes import principal_angles, validate_frame
 
 
 def test_graph_plane_and_canonical_form(tol):
@@ -155,6 +158,29 @@ def test_transversal_companion(tol):
     planes = [random_plane(3, s) for s in (10, 11, 12)]
     comp = transversal_companion(planes, tol, 3)
     assert all(intersection_dim(comp, p) == 0 for p in planes)
+
+
+def test_graph_plane_validates_its_matrix():
+    with pytest.raises(ValidationError):
+        graph_plane(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NotHermitian):
+        graph_plane(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValidationError):
+        graph_plane(np.zeros((0, 0)))
+
+
+def test_companion_frames_are_valid(rng, tol):
+    # A loose count rule rejects many candidates, so both graph and
+    # swapped-graph candidates come back; their frames are built without
+    # validation and must pass it.
+    loose = TolerancePolicy(rank_rel_tol=0.3)
+    for trial in range(40):
+        n = 1 + trial % 5
+        planes = [random_plane(n, rng) for _ in range(3)]
+        comp = transversal_companion(planes, loose, rng)
+        validate_frame(comp.x, comp.y, tol)
+        assert np.allclose(comp.stacked.conj().T @ comp.stacked, np.eye(n), atol=1e-12)
+        assert all(intersection_dim(comp, p, loose) == 0 for p in planes)
 
 
 def test_transversal_normalization_sends_pair_to_axes(rng, tol):

@@ -16,6 +16,7 @@ from lagidx import (
     vertical_plane,
 )
 from lagidx.hermitian import random_hermitian
+from lagidx.planes import validate_frame
 from lagidx.relations import reconstruct
 
 
@@ -81,6 +82,19 @@ def test_difference_matches_shear_action(rng, tol):
         shear = np.block([[np.eye(n), np.zeros((n, n))], [-a, np.eye(n)]])
         via_shear = apply_symplectic(shear, plane, tol)
         assert planes_equal(difference(plane, graph_plane(a), tol), via_shear, tol)
+
+
+def test_difference_frames_are_valid(rng, tol):
+    # The difference plane is built without validation and must pass it.
+    for trial in range(30):
+        n = 1 + trial % 5
+        plane = random_plane_with_mul(n, trial % (n + 1), rng, tol)
+        for other in (graph_plane(random_hermitian(n, rng)), random_plane(n, rng)):
+            if intersection_dim(other, vertical_plane(n), tol):
+                continue
+            d = difference(plane, other, tol)
+            validate_frame(d.x, d.y, tol)
+            assert np.allclose(d.stacked.conj().T @ d.stacked, np.eye(n), atol=1e-12)
 
 
 def test_inverse(rng, tol):
