@@ -94,6 +94,18 @@ def hermitian_part(a) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
+def checked_hermitian_part(m: np.ndarray, tol: TolerancePolicy, error: type, what: str) -> np.ndarray:
+    """Hermitian part of a matrix, or of each matrix of a stack, that the
+    library built through an inverse and so is Hermitian only up to
+    rounding.  An asymmetry above ``sqrt(residual_tol) * max(1, |M|)``
+    means the construction broke down and raises ``error``."""
+    asym = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
+    bound = np.sqrt(tol.residual_tol) * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    if np.any(asym > bound):
+        raise error(f"{what} asymmetry {np.max(asym):.3e} exceeds sqrt(residual_tol) * max(1, |M|)")
+    return hermitian_part(m)
+
+
 def as_hermitian(a, tol: TolerancePolicy = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     """Symmetrize, rejecting inputs whose asymmetry exceeds the policy."""
     m = _as_square_complex(a, what)

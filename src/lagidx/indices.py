@@ -9,9 +9,11 @@ Algorithms:
 * ``robin``   - alternating Morse indices of Robin-map differences at a
   shared epsilon, recomputed at a second independent epsilon with exact
   integer agreement demanded.
-* ``reduce``  - the axiomatic route: pick a companion plane transversal to
-  all three, expand through the cocycle identity, and evaluate each term
-  by a symplectic change of basis that turns it into a graph Morse index.
+* ``reduce``  - the axiomatic route: pick a companion plane L4 transversal
+  to all three, expand through the cocycle identity, and evaluate each
+  term as the Morse index of the graph matrix
+  B(La, W) = P(La, W) · P(L4, W)^-1 · P(L4, La), P = pairing_matrix, that
+  the middle plane W has once La is horizontal and L4 vertical.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from .hermitian import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_hermitian,
-    count_above_cutoff,
+    checked_hermitian_part,
     hermitian_part,
+    ill_conditioned,
     inertia,
     inverse_or_raise,
     kernel_basis,
@@ -45,12 +48,12 @@ from .hermitian import (
 )
 from .planes import (
     LagrangianPlane,
+    checked_robin_matrices,
     epsilon_select,
     intersection_dim,
     pairing_matrix,
     robin_matrices,
     transversal_companion,
-    transversal_normalization,
     vertical_plane,
 )
 from .relations import compress, decompose, difference, inverse
@@ -134,8 +137,8 @@ def _robin_combination(nm21: int, nm31: int, nm32: int) -> int:
     return nm21 - nm31 + nm32
 
 
-def _robin_value(planes, eps: float, tol: TolerancePolicy) -> int:
-    r = robin_matrices(planes, eps, tol)
+def _robin_value(r: np.ndarray, tol: TolerancePolicy) -> int:
+    # r is the (3, n, n) stack of Robin maps of the triple at one epsilon.
     i21, i31, i32 = trusted_inertia(r[[1, 2, 2]] - r[[0, 0, 1]], tol)
     return _robin_combination(i21.n_minus, i31.n_minus, i32.n_minus)
 
@@ -155,7 +158,7 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
     n = _check_triple(l1, l2, l3)
     planes = (l1, l2, l3)
     if epsilon is not None:
-        value = _robin_value(planes, epsilon, tol)
+        value = _robin_value(checked_robin_matrices(planes, epsilon, tol), tol)
         return IndexReport(_check_bounds(value, n, "robin"), "robin", float(epsilon),
                            {"forced_epsilon": True})
     eps1 = epsilon_select(planes, tol, seed)
@@ -164,8 +167,8 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
     else:
         seed2 = None if seed is None else seed + 1
     eps2 = epsilon_select(planes, tol, seed2, avoid=(eps1,))
-    v1 = _robin_value(planes, eps1, tol)
-    v2 = _robin_value(planes, eps2, tol)
+    v1 = _robin_value(robin_matrices(planes, eps1, tol), tol)
+    v2 = _robin_value(robin_matrices(planes, eps2, tol), tol)
     if v1 != v2:
         raise EpsilonDisagreement(
             f"epsilon {eps1:.6g} gave {v1} but epsilon {eps2:.6g} gave {v2}")
@@ -173,28 +176,37 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
                        {"epsilon_second": eps2, "value_second": v2})
 
 
-def _graph_matrices_in_bases(zs: np.ndarray, frames: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Stack of Hermitian B_k with Z_k^-1 (plane k) = graph of B_k, from
-    stacks of bases Z_k and plane frames, with one stacked solve, rank
-    check and inverse; raises DualBasisFailure when any transformed frame
-    is not a graph at working precision."""
-    n = frames.shape[-1]
-    w = np.linalg.solve(zs, frames)
-    xb, yb = w[:, :n], w[:, n:]
-    if (count_above_cutoff(np.linalg.svd(xb, compute_uv=False), tol) < n).any():
-        raise DualBasisFailure("transformed plane is not a graph")
-    return hermitian_part(yb @ np.linalg.inv(xb))
+def _reduction_graphs(planes, l4: LagrangianPlane, tol: TolerancePolicy) -> np.ndarray:
+    """Stack of the Hermitian graph matrices B(L1, L2), B(L1, L3) and
+    B(L2, L3) against the companion L4, each from n x n pairings alone:
+    B(La, W) = P(La, W) · P(L4, W)^-1 · P(L4, La).
+
+    One stacked SVD applies the conditioning rule to the companion
+    pairings G_k = P(L4, L_k); it covers P(La, L4) = -G_a*, which has the
+    same singular values, and the G_W that are inverted.  A failure, or an
+    asymmetric B (one of the planes is not Lagrangian), raises
+    DualBasisFailure."""
+    x = np.stack([p.x for p in planes])
+    y = np.stack([p.y for p in planes])
+    g = l4.x.conj().T @ y - l4.y.conj().T @ x
+    if ill_conditioned(g, tol).any():
+        raise DualBasisFailure("companion pairing is numerically singular")
+    a, w = [0, 0, 1], [1, 2, 2]  # La and W of the three terms
+    p_aw = x[a].conj().swapaxes(-1, -2) @ y[w] - y[a].conj().swapaxes(-1, -2) @ x[w]
+    return checked_hermitian_part(p_aw @ np.linalg.solve(g[w], g[a]), tol, DualBasisFailure,
+                                  "reduction graph matrix")
 
 
 def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
                        tol: TolerancePolicy = DEFAULT_TOL, seed=None) -> IndexReport:
     """Duistermaat index by the axiomatic reduction.
 
-    A companion plane transversal to all three is drawn, the cocycle
-    identity expands the index into three terms against the companion,
-    and each term is evaluated by mapping its first plane to the
-    horizontal plane and the companion to the vertical one, after which
-    the middle plane is a graph and the term is its Morse index.
+    A companion plane L4 transversal to all three is drawn, and the
+    cocycle identity expands the index into three terms against it.  In
+    the symplectic coordinates where La is horizontal and L4 vertical, the
+    middle plane W of a term is the graph of
+    B(La, W) = P(La, W) · P(L4, W)^-1 · P(L4, La), with P = pairing_matrix,
+    and the term is the Morse index of B.
     """
     n = _check_triple(l1, l2, l3)
     rng = np.random.default_rng(seed)
@@ -202,10 +214,7 @@ def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianP
     for _ in range(_REDUCE_ATTEMPTS):
         try:
             l4 = transversal_companion((l1, l2, l3), tol, rng)
-            z1 = transversal_normalization(l1, l4, tol)
-            z2 = transversal_normalization(l2, l4, tol)
-            graphs = _graph_matrices_in_bases(np.stack([z1, z1, z2]),
-                                              np.stack([l2.stacked, l3.stacked, l3.stacked]), tol)
+            graphs = _reduction_graphs((l1, l2, l3), l4, tol)
             t12, t13, t23 = (i.n_minus for i in trusted_inertia(graphs, tol))
             value = _check_bounds(t12 - t13 + t23, n, "reduce")
             return IndexReport(value, "reduce", None,

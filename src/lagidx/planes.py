@@ -25,6 +25,7 @@ from .hermitian import (
     DEFAULT_TOL,
     TolerancePolicy,
     as_hermitian,
+    checked_hermitian_part,
     count_above_cutoff,
     hermitian_part,
     ill_conditioned,
@@ -247,23 +248,30 @@ def robin_map(plane: LagrangianPlane, epsilon: float, tol: TolerancePolicy = DEF
     symmetrized after an asymmetry check, and ill-conditioned X + eps Y
     raises SingularEpsilon.
     """
-    return RobinMap(float(epsilon), robin_matrices((plane,), epsilon, tol)[0])
+    return RobinMap(float(epsilon), checked_robin_matrices((plane,), epsilon, tol)[0])
+
+
+def checked_robin_matrices(planes, epsilon: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """:func:`robin_matrices` at an epsilon that :func:`epsilon_select` has
+    not picked for these planes: an ill-conditioned X + eps Y of any plane
+    raises SingularEpsilon first, with one stacked SVD."""
+    xs, ys = _stacked_frames(planes, "robin_matrices")
+    if ill_conditioned(xs + epsilon * ys, tol).any():
+        raise SingularEpsilon(f"cond(X + {epsilon} Y) exceeds 1/rank_rel_tol")
+    return robin_matrices(planes, epsilon, tol)
 
 
 def robin_matrices(planes, epsilon: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """The matrices of :func:`robin_map` for planes of one dimension, as a
-    (k, n, n) stack built with one stacked SVD and one stacked inverse.
-    Raises SingularEpsilon when any of the planes fails."""
+    (k, n, n) stack built with one stacked inverse.
+
+    The epsilon must come from :func:`epsilon_select` for these planes,
+    which has already applied the conditioning rule to the same X + eps Y;
+    any other epsilon goes through :func:`checked_robin_matrices`.  An
+    asymmetric map raises SingularEpsilon."""
     xs, ys = _stacked_frames(planes, "robin_matrices")
-    t = xs + epsilon * ys
-    if ill_conditioned(t, tol).any():
-        raise SingularEpsilon(f"cond(X + {epsilon} Y) exceeds 1/rank_rel_tol")
-    r = ys @ np.linalg.inv(t)
-    asym = np.linalg.norm(r - r.conj().swapaxes(-1, -2), axis=(-2, -1))
-    bound = np.sqrt(tol.residual_tol) * np.maximum(1.0, np.linalg.norm(r, axis=(-2, -1)))
-    if (asym > bound).any():
-        raise SingularEpsilon(f"Robin map asymmetry {asym.max():.3e} signals a bad epsilon")
-    return hermitian_part(r)
+    return checked_hermitian_part(ys @ np.linalg.inv(xs + epsilon * ys), tol, SingularEpsilon,
+                                  f"Robin map at epsilon {epsilon:.6g}")
 
 
 def random_plane(n: int, seed=None, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:

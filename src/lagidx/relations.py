@@ -22,7 +22,7 @@ from .hermitian import (
     hermitian_part,
     kernel_basis,
 )
-from .planes import LagrangianPlane, plane_from_frame, trusted_plane
+from .planes import LagrangianPlane, plane_from_frame
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,10 @@ def difference(l: LagrangianPlane, m: LagrangianPlane, tol: TolerancePolicy = DE
 
     Pairs (s, t) with X_L s = X_M t form the kernel of [X_L, -X_M]; each
     pair maps to the vector (X_L s, Y_L s - Y_M t), and the span of those
-    images is the difference plane.  Its orthonormal SVD basis is
-    injective by the rank check and Lagrangian because both planes are,
-    so it is not validated again.
+    images is the difference plane.  The first n left singular vectors
+    are its canonical frame: orthonormal already, injective by the rank
+    check and Lagrangian because both planes are, so the frame is neither
+    validated nor orthonormalized again.
     """
     if l.n != m.n:
         raise ValidationError("planes live in different dimensions")
@@ -86,7 +87,7 @@ def difference(l: LagrangianPlane, m: LagrangianPlane, tol: TolerancePolicy = DE
     r = count_above_cutoff(sv, tol)
     if r != n:
         raise RankDeficient(f"difference span has rank {r}, expected {n}")
-    return trusted_plane(u[:, :n])
+    return LagrangianPlane(u[:n, :n], u[n:, :n])
 
 
 def inverse(plane: LagrangianPlane) -> LagrangianPlane:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import lagidx.indices
 from lagidx import (
+    DualBasisFailure,
     LagidxError,
     LagrangianPlane,
     NotInvertible,
+    SelectionFailed,
     SingularEpsilon,
     TransversalityViolated,
     coboundary,
@@ -17,6 +20,7 @@ from lagidx import (
     epsilon_select,
     graph_plane,
     haynsworth_check,
+    hermitian_part,
     horizontal_plane,
     index_via_resolvent_difference,
     inertia,
@@ -26,7 +30,11 @@ from lagidx import (
     morse_sum_invertible,
     omega_form,
     plane_from_frame,
+    planes_equal,
     random_plane,
+    robin_map,
+    transversal_companion,
+    transversal_normalization,
     vertical_plane,
 )
 from lagidx.hermitian import random_hermitian
@@ -111,6 +119,9 @@ def test_robin_forced_singular_epsilon():
     # The canonical frame of graph(-2) has X + Y / 2 = 0 exactly.
     with pytest.raises(SingularEpsilon):
         duistermaat_robin(scalar_graph(-2), scalar_graph(0), scalar_graph(1), epsilon=0.5)
+    # robin_map is given its epsilon too, so it keeps the conditioning check.
+    with pytest.raises(SingularEpsilon):
+        robin_map(graph_plane([[-2.0]]), 0.5)
 
 
 def test_reduce_agrees_with_omega(rng):
@@ -118,6 +129,37 @@ def test_reduce_agrees_with_omega(rng):
         n = 1 + trial % 4
         triple = tuple(random_plane(n, rng) for _ in range(3))
         assert duistermaat_reduce(*triple, seed=trial).value == duistermaat_omega(*triple).value
+
+
+def test_reduction_graphs_match_normalization(rng, tol):
+    # The closed form B(La, W) = P(La, W) P(L4, W)^-1 P(L4, La) against the
+    # graph of Z^-1 W, Z the symplectic basis sending the axes to (La, L4).
+    worst = 0.0
+    for n in range(1, 7):
+        triple = tuple(random_plane(n, rng) for _ in range(3))
+        graph_companion = transversal_companion(triple, tol, n)
+        # The same seed draws the same first candidate, which now fails
+        # against itself, so the swapped second candidate is returned.
+        swapped_companion = transversal_companion(triple + (graph_companion,), tol, n)
+        assert not planes_equal(graph_companion, swapped_companion, tol)
+        for l4 in (graph_companion, swapped_companion):
+            graphs = lagidx.indices._reduction_graphs(triple, l4, tol)
+            for b, (a, w) in zip(graphs, ((0, 1), (0, 2), (1, 2))):
+                z = transversal_normalization(triple[a], l4, tol)
+                xy = np.linalg.solve(z, triple[w].stacked)
+                ref = hermitian_part(xy[n:] @ np.linalg.inv(xy[:n]))
+                worst = max(worst, np.linalg.norm(b - ref) / np.linalg.norm(ref))
+    assert worst < 1e-10
+
+
+def test_reduce_failure_is_typed(rng, monkeypatch):
+    # A companion equal to L2 makes its pairing with L2 zero: every attempt
+    # fails with DualBasisFailure and no value is returned.
+    triple = tuple(random_plane(3, rng) for _ in range(3))
+    monkeypatch.setattr(lagidx.indices, "transversal_companion", lambda planes, tol, rng: planes[1])
+    with pytest.raises(SelectionFailed) as info:
+        duistermaat_reduce(*triple, seed=0)
+    assert isinstance(info.value.__cause__, DualBasisFailure)
 
 
 def test_cocycle_property(rng):
@@ -237,3 +279,15 @@ def test_index_report_bounds_guard(rng):
         duistermaat_omega(broken, *others)
     with pytest.raises(LagidxError):
         kashiwara(*others, broken)
+    # A plane built directly from a frame that is not Lagrangian, in each
+    # position: the reduction sees the asymmetry of its graph matrices and
+    # raises instead of symmetrizing it away.
+    for n in (1, 2, 3, 6):
+        for position in range(3):
+            triple = [random_plane(n, rng) for _ in range(3)]
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            q, _ = np.linalg.qr(np.vstack([np.eye(n), g]))
+            triple[position] = LagrangianPlane(q[:n], q[n:])
+            with pytest.raises(SelectionFailed) as info:
+                duistermaat_reduce(*triple, seed=position)
+            assert isinstance(info.value.__cause__, DualBasisFailure)
