@@ -44,7 +44,7 @@ from .planes import (
     planes_equal,
     random_plane,
     random_plane_with_mul,
-    robin_map,
+    robin_matrices,
     transversal_companion,
     vertical_plane,
 )
@@ -267,7 +267,7 @@ def check_factorization(n, rng, tol):
     l1, l2, l3 = _sample_triple(n, rng, tol)
     eps = epsilon_select((l1, l2, l3), tol, int(rng.integers(2 ** 31)))
     w = omega_form(l1, l2, l3)
-    r1, r2, r3 = (robin_map(p, eps, tol).matrix for p in (l1, l2, l3))
+    r1, r2, r3 = robin_matrices((l1, l2, l3), eps, tol)
     eye = np.eye(n)
     t = np.block([[-eye, eye, eye], [eye, -eye, eye], [eye, eye, -eye]])
     d = np.zeros((3 * n, 3 * n), dtype=complex)
