@@ -23,6 +23,7 @@ and injective by construction.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,14 +95,23 @@ def hermitian_part(a) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def checked_hermitian_part(m: np.ndarray, tol: TolerancePolicy, error: type, what: str) -> np.ndarray:
+def checked_hermitian_part(m: np.ndarray, tol: TolerancePolicy, error: type,
+                           what: str | list[str]) -> np.ndarray:
     """Hermitian part of a matrix, or of each matrix of a stack, that the
     library built through an inverse and so is Hermitian only up to
     rounding.  An asymmetry above ``sqrt(residual_tol) * max(1, |M|)``
-    means the construction broke down and raises ``error``."""
+    means the construction broke down and raises ``error``.
+
+    ``what`` names the matrix or stack; a list of names, one per entry of
+    the leading axis, makes the error name the first entry that fails and
+    its own largest asymmetry."""
     asym = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
     bound = np.sqrt(tol.residual_tol) * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
-    if np.any(asym > bound):
+    failed = asym > bound
+    if np.any(failed):
+        if isinstance(what, list):
+            first = int(np.argmax(failed.reshape(len(what), -1).any(axis=1)))
+            what, asym = what[first], asym[first]
         raise error(f"{what} asymmetry {np.max(asym):.3e} exceeds sqrt(residual_tol) * max(1, |M|)")
     return hermitian_part(m)
 
@@ -129,16 +139,28 @@ def cutoff_for(values: np.ndarray, tol: TolerancePolicy):
 def count_above_cutoff(values: np.ndarray, tol: TolerancePolicy):
     """The count rule: how many values exceed the cutoff of their set.
 
-    An int for one set; for a stack of sets, an array of counts."""
-    counts = np.sum(values > cutoff_for(values, tol)[..., None], axis=-1)
-    return int(counts) if counts.ndim == 0 else counts
+    The values must be singular values as ``np.linalg.svd`` returns them:
+    nonnegative and in descending order along the last axis, so the scale
+    of each set is its first value.  An int for one set, 0 when it is
+    empty; for a stack of sets, an array of counts."""
+    if values.ndim > 1:
+        return np.sum(values > _cutoff(values[..., :1], tol), axis=-1)
+    if not values.size:
+        return 0
+    return int(np.count_nonzero(values > tol.rank_rel_tol * max(values[0], 1.0)))
 
 
 def ill_conditioned(m: np.ndarray, tol: TolerancePolicy):
     """The conditioning rule: ``s_max / s_min > 1 / rank_rel_tol``.
 
     A bool for one matrix; for a stack, one bool per matrix."""
-    s = np.linalg.svd(m, compute_uv=False)
+    return ill_conditioned_values(np.linalg.svd(m, compute_uv=False), tol)
+
+
+def ill_conditioned_values(s: np.ndarray, tol: TolerancePolicy):
+    """The conditioning rule on singular values a caller already holds, as
+    ``np.linalg.svd`` returns them: in descending order along the last
+    axis, one set per matrix."""
     s_max, s_min = s[..., 0], s[..., -1]
     singular = s_min <= 0.0
     return singular | (s_max / np.where(singular, 1.0, s_min) > 1.0 / tol.rank_rel_tol)
@@ -157,29 +179,24 @@ def trusted_inertia(h: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL):
     ``as_hermitian`` or the omega form, and their sums and differences.
 
     A stack of shape (k, n, n) takes one ``eigvalsh`` call and gives a
-    list of k inertias, each with the cutoff of its own matrix."""
+    list of k inertias, each with the cutoff of its own matrix.  The
+    eigenvalues of each matrix come in ascending order, so the largest
+    absolute value sits at one of the two ends, and each sign count is one
+    binary search over plain floats.  At n <= 6 that beats comparisons
+    over the numpy stack, whose cost is per-call overhead."""
     try:
         w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(f"eigvalsh failed for matrix {matrix_hash(h)}") from exc
     if not np.isfinite(w).all():
         raise ValidationError(f"matrix {matrix_hash(h)} has non-finite eigenvalues")
-    if w.ndim == 1:
-        return _sorted_inertia(w, tol)
-    return [_sorted_inertia(v, tol) for v in w]
-
-
-def _sorted_inertia(w: np.ndarray, tol: TolerancePolicy) -> Inertia:
-    """The count rule on eigenvalues in ascending order, as ``eigvalsh``
-    returns them: the largest absolute value sits at one of the two ends,
-    and each sign count is one binary search."""
-    n = w.size
-    if n == 0:
-        return Inertia(0, 0, 0)
-    cut = _cutoff(max(-w[0], w[-1]), tol)
-    n_minus = int(w.searchsorted(-cut))
-    n_plus = n - int(w.searchsorted(cut, "right"))
-    return Inertia(n_minus, n - n_minus - n_plus, n_plus)
+    n = w.shape[-1]
+    counts = []
+    for v in (w.tolist() if w.ndim > 1 else [w.tolist()]):
+        cut = tol.rank_rel_tol * max(1.0, -v[0], v[-1]) if n else 0.0
+        n_minus, n_plus = bisect_left(v, -cut), n - bisect_right(v, cut)
+        counts.append(Inertia(n_minus, n - n_minus - n_plus, n_plus))
+    return counts if w.ndim > 1 else counts[0]
 
 
 def inertia(h, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:

@@ -137,10 +137,13 @@ def _robin_combination(nm21: int, nm31: int, nm32: int) -> int:
     return nm21 - nm31 + nm32
 
 
-def _robin_value(r: np.ndarray, tol: TolerancePolicy) -> int:
-    # r is the (3, n, n) stack of Robin maps of the triple at one epsilon.
-    i21, i31, i32 = trusted_inertia(r[[1, 2, 2]] - r[[0, 0, 1]], tol)
-    return _robin_combination(i21.n_minus, i31.n_minus, i32.n_minus)
+def _robin_values(r: np.ndarray, tol: TolerancePolicy) -> list[int]:
+    # r holds the (3, n, n) Robin maps of the triple at each epsilon along
+    # its leading axes; one eigvalsh call serves every difference.
+    n = r.shape[-1]
+    diffs = r[..., [1, 2, 2], :, :] - r[..., [0, 0, 1], :, :]
+    nm = [i.n_minus for i in trusted_inertia(diffs.reshape(-1, n, n), tol)]
+    return [_robin_combination(*nm[k:k + 3]) for k in range(0, len(nm), 3)]
 
 
 def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
@@ -148,9 +151,9 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
                       epsilon: Optional[float] = None) -> IndexReport:
     """Duistermaat index through Robin maps at a shared epsilon.
 
-    The value is constant in epsilon away from a finite bad set, so the
-    computation runs twice at independently selected epsilons and any
-    disagreement is raised as a sharp tolerance alarm.  Passing an
+    The value is constant in epsilon away from a finite bad set, so it is
+    computed at two independently selected epsilons, in one stacked pass,
+    and any disagreement is raised as a sharp tolerance alarm.  Passing an
     explicit ``epsilon`` skips selection and the double check.  An int
     ``seed`` selects the second epsilon with ``seed + 1``; a Generator
     draws both epsilons from its stream in turn.
@@ -158,7 +161,7 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
     n = _check_triple(l1, l2, l3)
     planes = (l1, l2, l3)
     if epsilon is not None:
-        value = _robin_value(checked_robin_matrices(planes, epsilon, tol), tol)
+        value, = _robin_values(checked_robin_matrices(planes, epsilon, tol), tol)
         return IndexReport(_check_bounds(value, n, "robin"), "robin", float(epsilon),
                            {"forced_epsilon": True})
     eps1 = epsilon_select(planes, tol, seed)
@@ -167,8 +170,7 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
     else:
         seed2 = None if seed is None else seed + 1
     eps2 = epsilon_select(planes, tol, seed2, avoid=(eps1,))
-    v1 = _robin_value(robin_matrices(planes, eps1, tol), tol)
-    v2 = _robin_value(robin_matrices(planes, eps2, tol), tol)
+    v1, v2 = _robin_values(robin_matrices(planes, (eps1, eps2), tol), tol)
     if v1 != v2:
         raise EpsilonDisagreement(
             f"epsilon {eps1:.6g} gave {v1} but epsilon {eps2:.6g} gave {v2}")

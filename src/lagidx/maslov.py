@@ -42,7 +42,7 @@ from .hermitian import (
     count_above_cutoff,
     cutoff_for,
     hermitian_part,
-    ill_conditioned,
+    ill_conditioned_values,
     kernel_basis,
     trusted_inertia,
 )
@@ -332,7 +332,7 @@ def _pencil_roots(ka: np.ndarray, kd: np.ndarray, lo: float, hi: float,
     probes = ka + (shifts - lo)[:, None, None] * kd
     s = np.linalg.svd(probes, compute_uv=False)
     best = int(np.argmax(np.divide(s[:, -1], s[:, 0], out=np.zeros(n + 1), where=s[:, 0] > 0.0)))
-    if ill_conditioned(probes[best], tol):
+    if ill_conditioned_values(s[best], tol):
         raise DegenerateCrossing(
             f"pairing with the reference plane is singular on all of [{lo:.12f}, {hi:.12f}]")
     lam = np.linalg.eigvals(np.linalg.solve(probes[best], kd))

@@ -261,17 +261,25 @@ def checked_robin_matrices(planes, epsilon: float, tol: TolerancePolicy = DEFAUL
     return robin_matrices(planes, epsilon, tol)
 
 
-def robin_matrices(planes, epsilon: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def robin_matrices(planes, epsilon, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """The matrices of :func:`robin_map` for planes of one dimension, as a
     (k, n, n) stack built with one stacked inverse.
 
-    The epsilon must come from :func:`epsilon_select` for these planes,
-    which has already applied the conditioning rule to the same X + eps Y;
-    any other epsilon goes through :func:`checked_robin_matrices`.  An
-    asymmetric map raises SingularEpsilon."""
+    A sequence of m epsilons gives an (m, k, n, n) stack from the same one
+    inverse and one asymmetry check, bit for bit the stacks of the single
+    epsilons.  Each epsilon must come from :func:`epsilon_select` for these
+    planes, which has already applied the conditioning rule to the same
+    X + eps Y; any other epsilon goes through
+    :func:`checked_robin_matrices`.  An asymmetric map raises
+    SingularEpsilon, naming the first epsilon that gave one."""
     xs, ys = _stacked_frames(planes, "robin_matrices")
-    return checked_hermitian_part(ys @ np.linalg.inv(xs + epsilon * ys), tol, SingularEpsilon,
-                                  f"Robin map at epsilon {epsilon:.6g}")
+    eps = np.asarray(epsilon, dtype=float)
+    if eps.ndim:
+        what = [f"Robin map at epsilon {e:.6g}" for e in eps.tolist()]
+        eps = eps[:, None, None, None]
+    else:
+        what = f"Robin map at epsilon {epsilon:.6g}"
+    return checked_hermitian_part(ys @ np.linalg.inv(xs + eps * ys), tol, SingularEpsilon, what)
 
 
 def random_plane(n: int, seed=None, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
@@ -310,13 +318,15 @@ def transversal_companion(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None)
     Samples graphs of random Hermitian matrices, alternating with their
     swapped versions; failure after the attempt budget signals genuinely
     ill-conditioned inputs and raises SelectionFailed.  Each candidate is
-    tested against all planes with one stacked SVD of its pairings.
+    tested against all planes with one stacked SVD of its pairings.  The
+    output of ``random_hermitian`` is exactly Hermitian, so the graph frame
+    (I; H) is Lagrangian by construction and goes to ``trusted_plane``.
     """
     xs, ys = _stacked_frames(planes, "transversal_companion")
     n = xs.shape[-1]
     rng = np.random.default_rng(seed)
     for attempt in range(_COMPANION_ATTEMPTS):
-        cand = graph_plane(random_hermitian(n, rng), tol)
+        cand = trusted_plane(np.vstack([np.eye(n), random_hermitian(n, rng)]))
         if attempt % 2:
             cand = trusted_plane(swap_map(n) @ cand.stacked)
         pairings = cand.x.conj().T @ ys - cand.y.conj().T @ xs

@@ -277,7 +277,7 @@ def check_factorization(n, rng, tol):
         mid[j * n:(j + 1) * n, j * n:(j + 1) * n] = block
     rebuilt = 0.5 * d.conj().T @ t.conj().T @ mid @ t @ d
     residual = float(np.linalg.norm(w - rebuilt))
-    bound = tol.residual_tol * np.linalg.norm(w)
+    bound = tol.residual_tol * max(1.0, np.linalg.norm(w))
     return residual <= bound, {"residual": residual, "bound": bound, "epsilon": eps}
 
 

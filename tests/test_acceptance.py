@@ -84,6 +84,12 @@ def test_criterion_08_kashiwara_and_factorization():
     _report(8, ok, "Kashiwara correspondence, form nullity, factorization residual <= 1e-8")
 
 
+def test_factorization_bound_has_a_floor():
+    # Trials 15 and 22 at n = 1 draw a triple with a zero omega form; the
+    # rounding residual there must not fail against a bound of 0.
+    assert verify.run_check("omega-factorization", [1], 25, seed=0) == []
+
+
 def test_criterion_09_morse_formulas():
     checks = ("invertible-difference", "kernel-case-1", "kernel-case-2",
               "sum-invertible", "haynsworth")

@@ -15,6 +15,7 @@ from lagidx import (
 )
 from lagidx.hermitian import (
     as_hermitian,
+    checked_hermitian_part,
     count_above_cutoff,
     hermitian_part,
     ill_conditioned,
@@ -160,6 +161,53 @@ def test_stacked_rules_decide_each_matrix_alone(tol):
     conditioning = ill_conditioned(stack, tol)
     assert conditioning.tolist() == [bool(ill_conditioned(m, tol)) for m in stack]
     assert conditioning.tolist() == [True, True, False, False, False, False]
+
+
+def test_count_rule_reads_the_leading_singular_value(tol):
+    # The scale of each set is its first singular value; the counts match
+    # the README formula, whose scale is the largest absolute value.
+    def readme_count(values):
+        cut = tol.rank_rel_tol * max(1.0, np.max(np.abs(values), initial=0.0))
+        return int(np.sum(values > cut))
+
+    empty = np.zeros((2, 0))
+    assert count_above_cutoff(empty, tol).tolist() == [0, 0]
+    assert count_above_cutoff(empty[0], tol) == 0
+    diagonals = [
+        (0.0, 0.0, 0.0),
+        (1.0, AT_CUTOFF, 0.0),
+        (1.0, ABOVE_CUTOFF, AT_CUTOFF),
+        (1e6, -2e-3, 1e-4),
+    ]
+    s = np.linalg.svd(np.array([np.diag(d) for d in diagonals], dtype=complex), compute_uv=False)
+    expected = [readme_count(v) for v in s]
+    assert expected == [0, 1, 2, 2]
+    assert count_above_cutoff(s, tol).tolist() == expected
+    assert [count_above_cutoff(v, tol) for v in s] == expected
+
+
+def test_trusted_inertia_stack_with_zero_matrices(tol):
+    zero = np.zeros((3, 3))
+    stack = np.array([
+        zero,
+        np.diag([1.0, -AT_CUTOFF, AT_CUTOFF]),
+        zero,
+        np.diag([-2.0, ABOVE_CUTOFF, 0.0]),
+        np.diag([-1.0, -ABOVE_CUTOFF, ABOVE_CUTOFF]),
+        zero,
+    ], dtype=complex)
+    inertias = trusted_inertia(stack, tol)
+    assert inertias == [trusted_inertia(m, tol) for m in stack]
+    assert [i.as_tuple() for i in inertias] == [
+        (0, 3, 0), (0, 2, 1), (0, 3, 0), (1, 2, 0), (2, 0, 1), (0, 3, 0)]
+
+
+def test_checked_hermitian_part_names_the_first_failing_entry(tol):
+    stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]], [[0.0, 2.0], [0.0, 0.0]]], dtype=complex)
+    with pytest.raises(NotHermitian, match=r"^second asymmetry 1\.414e\+00 "):
+        checked_hermitian_part(stack, tol, NotHermitian, ["first", "second", "third"])
+    with pytest.raises(NotHermitian, match=r"^stack asymmetry 2\.828e\+00 "):
+        checked_hermitian_part(stack, tol, NotHermitian, "stack")
 
 
 def test_tolerance_policy_validation():

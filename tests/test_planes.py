@@ -6,6 +6,8 @@ from lagidx import (
     NotInjective,
     NotLagrangian,
     TolerancePolicy,
+    LagrangianPlane,
+    SingularEpsilon,
     ValidationError,
     apply_symplectic,
     epsilon_select,
@@ -25,7 +27,7 @@ from lagidx import (
     vertical_plane,
 )
 from lagidx.hermitian import random_hermitian
-from lagidx.planes import principal_angles, validate_frame
+from lagidx.planes import principal_angles, robin_matrices, validate_frame
 
 
 def test_graph_plane_and_canonical_form(tol):
@@ -123,6 +125,27 @@ def test_epsilon_select(tol):
     assert eps > 0  # the only bad value is 0 since det(X + eY) = e
     # determinism
     assert epsilon_select([skew], tol, 17) == epsilon_select([skew], tol, 17)
+
+
+def test_robin_matrices_pair_matches_single_epsilons(rng, tol):
+    for n in (1, 3, 6):
+        planes = [random_plane(n, rng) for _ in range(3)]
+        e1 = epsilon_select(planes, tol, n)
+        e2 = epsilon_select(planes, tol, n + 1, avoid=(e1,))
+        pair = robin_matrices(planes, (e1, e2), tol)
+        assert pair.shape == (2, 3, n, n)
+        assert np.array_equal(pair[0], robin_matrices(planes, e1, tol))
+        assert np.array_equal(pair[1], robin_matrices(planes, e2, tol))
+    # A plane built directly from a frame that is not Lagrangian: the pair
+    # raises the error of its first epsilon, word for word.
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, _ = np.linalg.qr(np.vstack([np.eye(2), g]))
+    broken = [LagrangianPlane(q[:2], q[2:])]
+    with pytest.raises(SingularEpsilon) as single:
+        robin_matrices(broken, 0.5, tol)
+    with pytest.raises(SingularEpsilon) as pair:
+        robin_matrices(broken, (0.5, 0.25), tol)
+    assert str(pair.value) == str(single.value)
 
 
 def test_epsilon_small_positivity(rng, tol):
