@@ -6,9 +6,9 @@ Every zero/nonzero decision in the package is made here, by two rules:
   ``rank_rel_tol * max(1, scale)``, ``scale`` being the largest absolute
   value in its set.  The floor of 1 makes the zero matrix behave
   sensibly and keeps both sides of integer identities on one footing;
-* the conditioning rule: a matrix is ill-conditioned when
-  ``s_max / s_min > 1 / rank_rel_tol``.  Without the floor of 1 it
-  differs from the count rule when ``s_max < 1``.
+* the conditioning rule: a matrix is ill-conditioned when its count-rule
+  rank is 0 or ``s_max / s_min > 1 / rank_rel_tol``.  Without the floor
+  of 1 it differs from the count rule when ``s_max < 1``.
 
 Both rules also take a stack of matrices (or of value sets) along the
 leading axes and decide each one with its own cutoff, exactly as for a
@@ -151,7 +151,7 @@ def count_above_cutoff(values: np.ndarray, tol: TolerancePolicy):
 
 
 def ill_conditioned(m: np.ndarray, tol: TolerancePolicy):
-    """The conditioning rule: ``s_max / s_min > 1 / rank_rel_tol``.
+    """The conditioning rule: count-rule rank 0 or ``s_max / s_min > 1 / rank_rel_tol``.
 
     A bool for one matrix; for a stack, one bool per matrix."""
     return ill_conditioned_values(np.linalg.svd(m, compute_uv=False), tol)
@@ -162,7 +162,7 @@ def ill_conditioned_values(s: np.ndarray, tol: TolerancePolicy):
     ``np.linalg.svd`` returns them: in descending order along the last
     axis, one set per matrix."""
     s_max, s_min = s[..., 0], s[..., -1]
-    singular = s_min <= 0.0
+    singular = (s_min <= 0.0) | (s_max <= tol.rank_rel_tol)
     return singular | (s_max / np.where(singular, 1.0, s_min) > 1.0 / tol.rank_rel_tol)
 
 

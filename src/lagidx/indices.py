@@ -38,7 +38,6 @@ from .hermitian import (
     as_hermitian,
     checked_hermitian_part,
     hermitian_part,
-    ill_conditioned,
     inertia,
     inverse_or_raise,
     kernel_basis,
@@ -57,8 +56,6 @@ from .planes import (
     vertical_plane,
 )
 from .relations import compress, decompose, difference, inverse
-
-_REDUCE_ATTEMPTS = 8
 
 
 @dataclass(frozen=True)
@@ -183,16 +180,13 @@ def _reduction_graphs(planes, l4: LagrangianPlane, tol: TolerancePolicy) -> np.n
     B(L2, L3) against the companion L4, each from n x n pairings alone:
     B(La, W) = P(La, W) · P(L4, W)^-1 · P(L4, La).
 
-    One stacked SVD applies the conditioning rule to the companion
-    pairings G_k = P(L4, L_k); it covers P(La, L4) = -G_a*, which has the
-    same singular values, and the G_W that are inverted.  A failure, or an
-    asymmetric B (one of the planes is not Lagrangian), raises
-    DualBasisFailure."""
+    The count-rule verdict of ``transversal_companion`` on these same
+    G_k = P(L4, L_k), s_min > rank_rel_tol · max(1, s_max), implies the
+    conditioning rule for G_k and for P(La, L4) = -G_a*.  An asymmetric B
+    (one of the planes is not Lagrangian) raises DualBasisFailure."""
     x = np.stack([p.x for p in planes])
     y = np.stack([p.y for p in planes])
     g = l4.x.conj().T @ y - l4.y.conj().T @ x
-    if ill_conditioned(g, tol).any():
-        raise DualBasisFailure("companion pairing is numerically singular")
     a, w = [0, 0, 1], [1, 2, 2]  # La and W of the three terms
     p_aw = x[a].conj().swapaxes(-1, -2) @ y[w] - y[a].conj().swapaxes(-1, -2) @ x[w]
     return checked_hermitian_part(p_aw @ np.linalg.solve(g[w], g[a]), tol, DualBasisFailure,
@@ -209,21 +203,20 @@ def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianP
     middle plane W of a term is the graph of
     B(La, W) = P(La, W) · P(L4, W)^-1 · P(L4, La), with P = pairing_matrix,
     and the term is the Morse index of B.
+
+    One companion is drawn; its count-rule verdict is the only
+    transversality check.  An asymmetric B, from a non-Lagrangian plane,
+    raises SelectionFailed from DualBasisFailure.
     """
     n = _check_triple(l1, l2, l3)
-    rng = np.random.default_rng(seed)
-    last_error = None
-    for _ in range(_REDUCE_ATTEMPTS):
-        try:
-            l4 = transversal_companion((l1, l2, l3), tol, rng)
-            graphs = _reduction_graphs((l1, l2, l3), l4, tol)
-            t12, t13, t23 = (i.n_minus for i in trusted_inertia(graphs, tol))
-            value = _check_bounds(t12 - t13 + t23, n, "reduce")
-            return IndexReport(value, "reduce", None,
-                               {"terms": (t12, t13, t23)})
-        except (DualBasisFailure, SelectionFailed) as exc:
-            last_error = exc
-    raise SelectionFailed(f"reduction failed after {_REDUCE_ATTEMPTS} companions") from last_error
+    l4 = transversal_companion((l1, l2, l3), tol, seed)
+    try:
+        graphs = _reduction_graphs((l1, l2, l3), l4, tol)
+    except DualBasisFailure as exc:
+        raise SelectionFailed("reduction failed against its companion plane") from exc
+    t12, t13, t23 = (i.n_minus for i in trusted_inertia(graphs, tol))
+    value = _check_bounds(t12 - t13 + t23, n, "reduce")
+    return IndexReport(value, "reduce", None, {"terms": (t12, t13, t23)})
 
 
 def duistermaat_graphs(a, b, c, tol: TolerancePolicy = DEFAULT_TOL) -> int:

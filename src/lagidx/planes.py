@@ -172,6 +172,7 @@ def principal_angles(l1: LagrangianPlane, l2: LagrangianPlane) -> np.ndarray:
 
     Computed through the sines (singular values of the projection onto
     the orthogonal complement), which stays accurate for tiny angles.
+    A test route only: ``test_plane_from_frame_preserves_span`` reads it.
     """
     z1, z2 = l1.stacked, l2.stacked
     s = np.linalg.svd(z2 - z1 @ (z1.conj().T @ z2), compute_uv=False)
@@ -342,6 +343,8 @@ def transversal_normalization(la: LagrangianPlane, lb: LagrangianPlane,
     The inverse of Z is the symplectic map sending La to the horizontal
     plane and Lb to the vertical one.  Requires La and Lb transversal; a
     numerically singular pairing raises DualBasisFailure.
+    A reference route only, read by ``test_reduction_graphs_match_normalization``
+    and ``test_transversal_normalization_sends_pair_to_axes``.
     """
     if la.n != lb.n:
         raise ValidationError("planes live in different dimensions")

@@ -4,8 +4,8 @@ Every check draws its own inputs from a per-trial generator derived from
 the master seed by a fixed splitting rule
 (``SeedSequence([master, check_id, n, trial])``), evaluates one exact
 integer identity, and reports both sides on failure.  Failing trials are
-shrunk best-effort by halving the dimension and re-sampling before being
-recorded.
+shrunk best-effort by halving the dimension and re-sampling, seeded by
+``[master, check_id, n, trial, size, k]``, before being recorded.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ from .planes import (
 )
 from .relations import decompose, difference, inverse, reconstruct
 from .symplectic import random_symplectic, swap_map
+
+_DEGENERATE_RETRIES = 5
+_MINIMIZE_ATTEMPTS = 32
 
 
 def sample_plane(n: int, rng: np.random.Generator, tol: TolerancePolicy = DEFAULT_TOL):
@@ -362,12 +365,12 @@ def check_haynsworth(n, rng, tol):
     return rec.holds, rec.details
 
 
-def _retry_degenerate(draw_and_check, rng, retries=5):
-    for attempt in range(retries + 1):
+def _retry_degenerate(draw_and_check):
+    for attempt in range(_DEGENERATE_RETRIES + 1):
         try:
             return draw_and_check()
         except (DegenerateCrossing, UnresolvedCluster) as exc:
-            if attempt == retries:
+            if attempt == _DEGENERATE_RETRIES:
                 return False, {"error": str(exc)}
 
 
@@ -380,7 +383,7 @@ def check_minimal_path(n, rng, tol):
         target = _iD(l0, l1, m, tol)
         return mas == target, {"maslov": mas, "duistermaat": target}
 
-    return _retry_degenerate(attempt, rng)
+    return _retry_degenerate(attempt)
 
 
 def check_zwz(n, rng, tol):
@@ -392,7 +395,7 @@ def check_zwz(n, rng, tol):
         rec = ms.zwz_check(ms.graph_segment(a, b, tol), m1, m2, tol)
         return rec.holds, rec.details
 
-    return _retry_degenerate(attempt, rng)
+    return _retry_degenerate(attempt)
 
 
 def check_segment_oracle(n, rng, tol):
@@ -405,7 +408,7 @@ def check_segment_oracle(n, rng, tol):
         oracle = inertia(a - c, tol).n_minus - inertia(b - c, tol).n_minus
         return mas == oracle, {"maslov": mas, "eig_count_oracle": oracle}
 
-    return _retry_degenerate(attempt, rng)
+    return _retry_degenerate(attempt)
 
 
 def check_endpoint_conventions(n, rng, tol):
@@ -431,7 +434,7 @@ def check_extremal(n, rng, tol):
         rec = ms.extremal_check(l0, l1, m, trials=2, tol=tol, seed=int(rng.integers(2 ** 31)))
         return rec.holds, rec.details
 
-    return _retry_degenerate(attempt, rng)
+    return _retry_degenerate(attempt)
 
 
 SUITES: dict[str, list] = {
@@ -528,13 +531,13 @@ class SuiteReport:
         }
 
 
-def _minimize(check_fn, n: int, entropy: list, tol, attempts: int = 32) -> dict | None:
-    """Shrink a failure by halving the dimension and re-sampling."""
+def _minimize(check_fn, n: int, entropy: list, tol) -> dict | None:
+    """Shrink a failure by halving the dimension and re-sampling from
+    children ``entropy + [size, k]`` of the failing trial's entropy."""
     best = None
     size = n // 2
     while size >= 1:
-        found = False
-        for k in range(attempts):
+        for k in range(_MINIMIZE_ATTEMPTS):
             child = entropy + [size, k]
             rng = np.random.default_rng(np.random.SeedSequence(child))
             try:
@@ -543,9 +546,8 @@ def _minimize(check_fn, n: int, entropy: list, tol, attempts: int = 32) -> dict 
                 continue
             if not ok:
                 best = {"n": size, "seed_entropy": child, "details": details}
-                found = True
                 break
-        if not found:
+        else:
             break
         size //= 2
     return best
@@ -566,7 +568,7 @@ def run_check(check_name: str, n_values, trials: int, seed: int = 0,
             except LagidxError as exc:
                 ok, details = False, {"error": f"{type(exc).__name__}: {exc}"}
             if not ok:
-                minimized = _minimize(fn, n, [seed, cid], tol) if minimize else None
+                minimized = _minimize(fn, n, entropy, tol) if minimize else None
                 failures.append(Failure(check_name, n, trial, entropy, details, minimized))
     return failures
 

@@ -91,6 +91,42 @@ def test_document_accessors(sample_doc, tol):
         d.plane("A")  # wrong type
 
 
+def frame_symplectic_projector_document(matrix) -> dict:
+    """A frame, a symplectic map, a scaled-projector path and a reference
+    plane; ``matrix`` is stored as the symplectic entry."""
+    return doc.new_document({
+        "F": {"type": "frame", "x": doc.encode_matrix(2.0 * np.eye(2)),
+              "y": doc.encode_matrix(np.diag([1.0, -3.0]))},
+        "S": {"type": "symplectic", "matrix": doc.encode_matrix(matrix)},
+        "proj": {"type": "path", "kind": "scaled_projector",
+                 "q": doc.encode_matrix(np.diag([1.0, 0.0]))},
+        "M": doc.plane_entry(graph_plane(np.diag([0.5, -1.0]))),
+    })
+
+
+def test_frame_symplectic_and_projector_entries(tmp_path, capsys):
+    s = lagidx.random_symplectic(2, 4)
+    d = doc.Document(frame_symplectic_projector_document(s))
+    x, y = d.frame("F")
+    assert np.array_equal(x, 2.0 * np.eye(2)) and np.array_equal(y, np.diag([1.0, -3.0]))
+    assert np.array_equal(d.symplectic("S"), s)
+    path = d.path("proj")
+    assert path.kind == "scaled_projector"
+    assert lagidx.maslov_index(path, d.plane("M")) == 1
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(frame_symplectic_projector_document(s)))
+    assert main(["maslov", "--input", str(good), "--path", "proj", "--reference", "M"]) == 0
+    assert "maslov index: 1" in capsys.readouterr().out
+    # S* J S = 4 J for S = 2I: not symplectic, refused on load.
+    raw = frame_symplectic_projector_document(2.0 * np.eye(4))
+    with pytest.raises(ValidationError, match="not symplectic"):
+        doc.loads(json.dumps(raw))
+    raw["objects"]["L"] = doc.plane_entry(horizontal_plane(2))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["index", "--input", str(bad), "--planes", "L", "M", "L"]) == 2
+
+
 def test_custom_path_document(tmp_path):
     frames = []
     for t in (0.0, 0.5, 1.0):
@@ -248,6 +284,15 @@ def test_cli_cross_check_disagreement_exit(sample_doc, capsys, monkeypatch):
                  "--cross-check"])
     assert code == 3
     assert "DISAGREE" in capsys.readouterr().out
+
+
+def test_cli_epsilon_disagreement_exit(sample_doc, capsys, monkeypatch):
+    # Robin values that differ between its two epsilons.
+    monkeypatch.setattr(lagidx.indices, "_robin_values", lambda r, tol: [0, 1])
+    code = main(["index", "--input", sample_doc, "--planes", "L0", "L1", "L2",
+                 "--method", "robin"])
+    assert code == 3
+    assert "gave 0 but epsilon" in capsys.readouterr().err
 
 
 def test_cli_verify_ok_and_deterministic(capsys):

@@ -139,6 +139,15 @@ def test_rank(tol):
     assert rank(small, tol) == 1
 
 
+def test_conditioning_rule_refuses_count_rule_rank_zero(tol):
+    # The ratio s_max / s_min is scale-free: rounding noise and a multiple
+    # of the identity at the 1e-9 cutoff have ratio 1.  A count-rule rank
+    # of 0 makes them ill-conditioned; the next double above is not.
+    assert ill_conditioned(1e-16 * np.eye(3), tol)
+    assert ill_conditioned(AT_CUTOFF * np.eye(3), tol)
+    assert not ill_conditioned(ABOVE_CUTOFF * np.eye(3), tol)
+
+
 def test_stacked_rules_decide_each_matrix_alone(tol):
     # Scales from 1e-4 to 1e6 in one stack, and values exactly at and just
     # above the 1e-9 cutoff: a cutoff shared across the stack (1e-3 from

@@ -153,8 +153,9 @@ def test_reduction_graphs_match_normalization(rng, tol):
 
 
 def test_reduce_failure_is_typed(rng, monkeypatch):
-    # A companion equal to L2 makes its pairing with L2 zero: every attempt
-    # fails with DualBasisFailure and no value is returned.
+    # A companion equal to L2 makes its pairing with L2 zero up to rounding,
+    # so the graph matrices come out asymmetric: the one companion fails
+    # with DualBasisFailure and no value is returned.
     triple = tuple(random_plane(3, rng) for _ in range(3))
     monkeypatch.setattr(lagidx.indices, "transversal_companion", lambda planes, tol, rng: planes[1])
     with pytest.raises(SelectionFailed) as info:

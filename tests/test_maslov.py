@@ -291,6 +291,21 @@ def test_custom_path_finite_differences():
     assert maslov_index(path, scalar_graph(0.5)) == 1
 
 
+def test_custom_path_reads_its_derivative_fn():
+    # graph(t diag(1, 2)) meets graph(diag(0.25, 1.5)) at t = 0.25 and
+    # t = 0.75.  The crossing forms come from derivative_fn: the true
+    # derivative gives +2, a sign-flipped one gives -2.
+    b = np.diag([1.0, 2.0])
+    frame = lambda t: (np.eye(2), t * b)
+    reference = graph_plane(np.diag([0.25, 1.5]))
+    up = custom_path(frame, 2, derivative_fn=lambda t: (np.zeros((2, 2)), b))
+    flipped = custom_path(frame, 2, derivative_fn=lambda t: (np.zeros((2, 2)), -b))
+    assert [round(c.t, 9) for c in find_crossings(up, reference)] == [0.25, 0.75]
+    assert maslov_index(up, reference) == 2
+    assert maslov_index(flipped, reference) == -2
+    assert is_nondecreasing(up) and not is_nondecreasing(flipped)
+
+
 def test_minimal_path_examples():
     # G_0 to graph(Q): the straight projector path qualifies
     q = np.diag([1.0, 0.0])
@@ -379,6 +394,24 @@ def test_degenerate_cases_raise():
     path = scaled_projector_path(q)
     with pytest.raises(DegenerateCrossing):
         find_crossings(path, graph_plane(np.diag([0.5, 0.0])))
+
+
+def test_segment_inside_the_reference_plane_is_degenerate(rng):
+    # The constant segment at A lies wholly inside graph(A): the pencil is
+    # rounding noise on the whole piece and must not give "no crossings".
+    for n in range(1, 5):
+        for _ in range(5):
+            a = random_hermitian(n, rng)
+            with pytest.raises(DegenerateCrossing):
+                find_crossings(graph_segment(a, a), graph_plane(a))
+
+
+def test_minimal_path_from_a_plane_to_itself_is_degenerate(rng):
+    for n in range(1, 5):
+        for _ in range(5):
+            plane = random_plane(n, rng)
+            with pytest.raises(DegenerateCrossing):
+                find_crossings(minimal_path(plane, plane), plane)
 
 
 def test_index_from_crossings_is_pure():

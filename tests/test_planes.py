@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lagidx import (
+    DualBasisFailure,
     NotHermitian,
     NotInjective,
     NotLagrangian,
@@ -117,6 +118,19 @@ def test_robin_frame_independence(rng, tol):
         assert np.linalg.norm(base - other) <= tol.residual_tol * max(1.0, np.linalg.norm(base))
 
 
+def test_robin_map_refuses_an_x_plus_eps_y_of_rounding_noise(rng, tol):
+    # graph(U (-2I) U*) has X + 0.5 Y = 0 exactly, so in floats it is
+    # rounding noise, whose singular-value ratio alone looks well
+    # conditioned; its count-rule rank of 0 makes it ill-conditioned.
+    for n in (2, 3, 4, 6):
+        for _ in range(5):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            u, _ = np.linalg.qr(g)
+            plane = graph_plane(u @ (-2.0 * np.eye(n)) @ u.conj().T)
+            with pytest.raises(SingularEpsilon):
+                robin_map(plane, 0.5, tol)
+
+
 def test_epsilon_select(tol):
     assert epsilon_select([horizontal_plane(2)], tol, 0) > 0
     assert epsilon_select([vertical_plane(2)], tol, 0) > 0
@@ -214,3 +228,13 @@ def test_transversal_normalization_sends_pair_to_axes(rng, tol):
         s = np.linalg.inv(z)
         assert planes_equal(apply_symplectic(s, la, tol), horizontal_plane(n))
         assert planes_equal(apply_symplectic(s, lb, tol), vertical_plane(n))
+
+
+def test_transversal_normalization_refuses_a_plane_against_itself(rng, tol):
+    # P(L, L) is zero up to rounding: the conditioning rule must refuse it
+    # even though the ratio of its noise singular values is small.
+    for n in (1, 2, 3, 4, 6):
+        for _ in range(5):
+            plane = random_plane(n, rng)
+            with pytest.raises(DualBasisFailure):
+                transversal_normalization(plane, plane, tol)
