@@ -170,6 +170,13 @@ def _parse_n_range(text: str) -> list[int]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_verify(args) -> int:
     tol = _tolerance_from(args)
     suites = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
@@ -227,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", default="all",
                        choices=("all", *verify_mod.SUITES))
     p_ver.add_argument("--n", default="1..6", help="dimension range, e.g. 1..6 or 2,4")
-    p_ver.add_argument("--trials", type=int, default=25)
+    p_ver.add_argument("--trials", type=_positive_int, default=25)
     p_ver.add_argument("--seed", type=int, default=0)
     _add_common(p_ver)
     p_ver.set_defaults(fn=_cmd_verify)

@@ -38,6 +38,8 @@ def decode_matrix(data, what: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{what}: malformed entries") from exc
     if a.ndim != 3 or a.shape[2] != 2:
         raise ValidationError(f"{what}: expected rows of [re, im] pairs, got shape {a.shape}")
+    if any(isinstance(v, bool) for row in data for pair in row for v in pair):
+        raise ValidationError(f"{what}: entries must be numbers, not booleans")
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{what}: non-finite entries")
     return a[..., 0] + 1j * a[..., 1]
@@ -135,7 +137,8 @@ class Document:
         frames = entry.get("frames")
         if not isinstance(grid, list) or not isinstance(frames, list) or len(grid) != len(frames):
             raise ValidationError(f"custom path {name!r} needs matching 'grid' and 'frames' lists")
-        if not all(isinstance(t, (int, float)) and 0.0 <= t <= 1.0 for t in grid):
+        if not all(isinstance(t, (int, float)) and not isinstance(t, bool) and 0.0 <= t <= 1.0
+                   for t in grid):
             raise ValidationError(f"custom path {name!r} grid must hold numbers in [0, 1]")
         ts = np.asarray(grid, dtype=float)
         if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 or not np.all(np.diff(ts) > 0):

@@ -43,7 +43,8 @@ class SelectionFailed(LagidxError):
 
 
 class SingularEpsilon(LagidxError):
-    """X + eps*Y is too ill-conditioned for a Robin map at this epsilon."""
+    """X + eps*Y has count-rule rank below n, or gives an asymmetric
+    Robin map, at this epsilon."""
 
 
 class EpsilonDisagreement(LagidxError):

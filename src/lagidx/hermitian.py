@@ -1,17 +1,14 @@
 """Numerically robust primitives for complex Hermitian matrices.
 
-Every zero/nonzero decision in the package is made here, by two rules:
+Every zero/nonzero decision in the package is made here, by one rule,
+the count rule: a value counts as nonzero when it exceeds
+``rank_rel_tol * max(1, scale)``, ``scale`` being the largest absolute
+value in its set.  The floor of 1 makes the zero matrix behave sensibly
+and keeps both sides of integer identities on one footing.  A square
+matrix is invertible exactly when its count-rule rank is full.
 
-* the count rule: a value counts as nonzero when it exceeds
-  ``rank_rel_tol * max(1, scale)``, ``scale`` being the largest absolute
-  value in its set.  The floor of 1 makes the zero matrix behave
-  sensibly and keeps both sides of integer identities on one footing;
-* the conditioning rule: a matrix is ill-conditioned when its count-rule
-  rank is 0 or ``s_max / s_min > 1 / rank_rel_tol``.  Without the floor
-  of 1 it differs from the count rule when ``s_max < 1``.
-
-Both rules also take a stack of matrices (or of value sets) along the
-leading axes and decide each one with its own cutoff, exactly as for a
+The rule also takes a stack of matrices (or of value sets) along the
+leading axes and decides each one with its own cutoff, exactly as for a
 single matrix; one call then replaces a loop of small LAPACK calls.
 
 :func:`inertia` validates its input; :func:`trusted_inertia` serves
@@ -148,22 +145,6 @@ def count_above_cutoff(values: np.ndarray, tol: TolerancePolicy):
     if not values.size:
         return 0
     return int(np.count_nonzero(values > tol.rank_rel_tol * max(values[0], 1.0)))
-
-
-def ill_conditioned(m: np.ndarray, tol: TolerancePolicy):
-    """The conditioning rule: count-rule rank 0 or ``s_max / s_min > 1 / rank_rel_tol``.
-
-    A bool for one matrix; for a stack, one bool per matrix."""
-    return ill_conditioned_values(np.linalg.svd(m, compute_uv=False), tol)
-
-
-def ill_conditioned_values(s: np.ndarray, tol: TolerancePolicy):
-    """The conditioning rule on singular values a caller already holds, as
-    ``np.linalg.svd`` returns them: in descending order along the last
-    axis, one set per matrix."""
-    s_max, s_min = s[..., 0], s[..., -1]
-    singular = (s_min <= 0.0) | (s_max <= tol.rank_rel_tol)
-    return singular | (s_max / np.where(singular, 1.0, s_min) > 1.0 / tol.rank_rel_tol)
 
 
 def eigh_or_raise(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

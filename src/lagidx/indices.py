@@ -180,10 +180,11 @@ def _reduction_graphs(planes, l4: LagrangianPlane, tol: TolerancePolicy) -> np.n
     B(L2, L3) against the companion L4, each from n x n pairings alone:
     B(La, W) = P(La, W) · P(L4, W)^-1 · P(L4, La).
 
-    The count-rule verdict of ``transversal_companion`` on these same
-    G_k = P(L4, L_k), s_min > rank_rel_tol · max(1, s_max), implies the
-    conditioning rule for G_k and for P(La, L4) = -G_a*.  An asymmetric B
-    (one of the planes is not Lagrangian) raises DualBasisFailure."""
+    ``transversal_companion`` has already given each of these same
+    G_k = P(L4, L_k) full count-rule rank, and P(La, L4) = -G_a* has the
+    same singular values, so no pairing is decided again here.  An
+    asymmetric B (one of the planes is not Lagrangian) raises
+    DualBasisFailure."""
     x = np.stack([p.x for p in planes])
     y = np.stack([p.y for p in planes])
     g = l4.x.conj().T @ y - l4.y.conj().T @ x

@@ -42,7 +42,6 @@ from .hermitian import (
     count_above_cutoff,
     cutoff_for,
     hermitian_part,
-    ill_conditioned_values,
     kernel_basis,
     trusted_inertia,
 )
@@ -263,13 +262,16 @@ def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL)
     from the pencils of both pieces, else UnresolvedCluster is raised (a
     lone root from beyond its piece is left to the other piece), and it is
     recorded once when the restricted forms of both pieces have equal
-    inertia, else DegenerateCrossing is raised.  A pairing that is
-    singular on a whole piece raises DegenerateCrossing.
+    inertia, else DegenerateCrossing is raised.  A pairing of count-rule
+    rank below n at every probe point of a piece, so singular on all of
+    it, raises DegenerateCrossing.
 
     Paths given by a frame callable are sampled instead: the smallest
     singular value of K(t) on 2048 fixed points, each plausible valley
-    refined by bracketed minimization to width 1e-12.  Crossings closer
-    than the grid spacing may be missed there.
+    refined by bracketed minimization to width 1e-12.  A refined point is
+    a crossing when ``kernel_basis`` finds a kernel in its own pairing,
+    under that matrix's own count-rule cutoff.  Crossings closer than the
+    grid spacing may be missed there.
 
     Degenerate restricted forms raise DegenerateCrossing; two crossings
     closer than 1e-9 raise UnresolvedCluster instead of being merged.
@@ -323,16 +325,17 @@ def _pencil_roots(ka: np.ndarray, kd: np.ndarray, lo: float, hi: float,
     within 1e-9 of [lo, hi], as (t, size, beyond) triples; ``beyond``
     says every root of the cluster lies outside [lo, hi].
 
-    The shift s0 is the best-conditioned of n + 1 fixed points inside the
-    piece.  A regular pencil has at most n roots, so when the pairing is
-    ill-conditioned at every one of them det K vanishes identically.
+    The shift s0 is the one of n + 1 fixed points inside the piece whose
+    pairing has the largest count-rule margin s_min / max(1, s_max).  A
+    regular pencil has at most n roots, so when the pairing has count-rule
+    rank below n at every one of them det K vanishes identically.
     """
     n = ka.shape[0]
     shifts = lo + (np.arange(1, n + 2) * _GOLDEN % 1.0) * (hi - lo)
     probes = ka + (shifts - lo)[:, None, None] * kd
     s = np.linalg.svd(probes, compute_uv=False)
-    best = int(np.argmax(np.divide(s[:, -1], s[:, 0], out=np.zeros(n + 1), where=s[:, 0] > 0.0)))
-    if ill_conditioned_values(s[best], tol):
+    best = int(np.argmax(s[:, -1] / np.maximum(1.0, s[:, 0])))
+    if count_above_cutoff(s[best], tol) < n:
         raise DegenerateCrossing(
             f"pairing with the reference plane is singular on all of [{lo:.12f}, {hi:.12f}]")
     lam = np.linalg.eigvals(np.linalg.solve(probes[best], kd))
@@ -446,9 +449,11 @@ def _grid_crossings(path, m: LagrangianPlane, tol: TolerancePolicy) -> list[Cros
         lo = ts[i - 1] if i > 0 else ts[0]
         hi = ts[i + 1] if i + 1 < _GRID else ts[-1]
         t_star = float(np.clip(_golden_minimize(sigma_min, lo, hi), 0.0, 1.0))
-        if sigma_min(t_star) > cut:
+        basis = kernel_basis(_pairing_at(path, m, t_star), tol)
+        if not basis.shape[1]:
             continue
-        _append_crossing(crossings, t_star, trusted_inertia(crossing_form(path, t_star, m, tol), tol))
+        form = _restricted_form(basis, *path.frame_at(t_star), *path.derivative_at(t_star))
+        _append_crossing(crossings, t_star, trusted_inertia(form, tol))
     return crossings
 
 

@@ -28,7 +28,6 @@ from .hermitian import (
     checked_hermitian_part,
     count_above_cutoff,
     hermitian_part,
-    ill_conditioned,
     random_hermitian,
     rank,
     trusted_inertia,
@@ -200,8 +199,8 @@ def _stacked_frames(planes, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 def epsilon_select(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None,
                    avoid: tuple[float, ...] = ()) -> float:
-    """Pick a positive epsilon at which every plane has a well-conditioned
-    X + eps Y.
+    """Pick a positive epsilon at which X + eps Y has full count-rule rank
+    for every plane.
 
     The schedule tries eps in {1, 1/2, 1/3, ...}, each scaled by a seeded
     jitter in [0.9, 1.1]; the set of bad epsilon values is finite, so the
@@ -210,13 +209,14 @@ def epsilon_select(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None,
     The planes must share one dimension; each candidate is one stacked SVD.
     """
     xs, ys = _stacked_frames(planes, "epsilon_select")
+    n = xs.shape[-1]
     rng = np.random.default_rng(seed)
     jitter = rng.uniform(0.9, 1.1, size=_EPSILON_CANDIDATES)
     for k in range(1, _EPSILON_CANDIDATES + 1):
         eps = jitter[k - 1] / k
         if any(abs(eps - a) < 1e-9 for a in avoid):
             continue
-        if not ill_conditioned(xs + eps * ys, tol).any():
+        if (count_above_cutoff(np.linalg.svd(xs + eps * ys, compute_uv=False), tol) == n).all():
             return float(eps)
     raise SelectionFailed(f"no usable epsilon among {_EPSILON_CANDIDATES} candidates")
 
@@ -246,19 +246,20 @@ def robin_map(plane: LagrangianPlane, epsilon: float, tol: TolerancePolicy = DEF
     """Robin map R = Y (X + eps Y)^-1 of the canonical frame.
 
     Hermitian for real eps outside a finite exceptional set; the result is
-    symmetrized after an asymmetry check, and ill-conditioned X + eps Y
-    raises SingularEpsilon.
+    symmetrized after an asymmetry check, and an X + eps Y of count-rule
+    rank below n raises SingularEpsilon.
     """
     return RobinMap(float(epsilon), checked_robin_matrices((plane,), epsilon, tol)[0])
 
 
 def checked_robin_matrices(planes, epsilon: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """:func:`robin_matrices` at an epsilon that :func:`epsilon_select` has
-    not picked for these planes: an ill-conditioned X + eps Y of any plane
-    raises SingularEpsilon first, with one stacked SVD."""
+    not picked for these planes: an X + eps Y of count-rule rank below n,
+    for any plane, raises SingularEpsilon first, with one stacked SVD."""
     xs, ys = _stacked_frames(planes, "robin_matrices")
-    if ill_conditioned(xs + epsilon * ys, tol).any():
-        raise SingularEpsilon(f"cond(X + {epsilon} Y) exceeds 1/rank_rel_tol")
+    n = xs.shape[-1]
+    if (count_above_cutoff(np.linalg.svd(xs + epsilon * ys, compute_uv=False), tol) < n).any():
+        raise SingularEpsilon(f"X + {epsilon} Y has count-rule rank below {n}")
     return robin_matrices(planes, epsilon, tol)
 
 
@@ -269,7 +270,7 @@ def robin_matrices(planes, epsilon, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
     A sequence of m epsilons gives an (m, k, n, n) stack from the same one
     inverse and one asymmetry check, bit for bit the stacks of the single
     epsilons.  Each epsilon must come from :func:`epsilon_select` for these
-    planes, which has already applied the conditioning rule to the same
+    planes, which has already checked the count-rule rank of the same
     X + eps Y; any other epsilon goes through
     :func:`checked_robin_matrices`.  An asymmetric map raises
     SingularEpsilon, naming the first epsilon that gave one."""
@@ -342,7 +343,7 @@ def transversal_normalization(la: LagrangianPlane, lb: LagrangianPlane,
 
     The inverse of Z is the symplectic map sending La to the horizontal
     plane and Lb to the vertical one.  Requires La and Lb transversal; a
-    numerically singular pairing raises DualBasisFailure.
+    pairing of count-rule rank below n raises DualBasisFailure.
     A reference route only, read by ``test_reduction_graphs_match_normalization``
     and ``test_transversal_normalization_sends_pair_to_axes``.
     """
@@ -353,7 +354,7 @@ def transversal_normalization(la: LagrangianPlane, lb: LagrangianPlane,
     a = la.stacked
     b = lb.stacked
     pairing = a.conj().T @ j @ b
-    if ill_conditioned(pairing, tol):
+    if rank(pairing, tol) < n:
         raise DualBasisFailure("pairing matrix between the planes is numerically singular")
     z = np.hstack([a, b @ np.linalg.inv(pairing)])
     residual = np.linalg.norm(z.conj().T @ j @ z - j)

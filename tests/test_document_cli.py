@@ -61,6 +61,9 @@ def malformed_documents() -> list:
         custom_path_document([0.0, 1.0], [[1], [2]]),          # frames are not objects
         custom_path_document([0.0, "half", 1.0], [eye] * 3),   # grid is not numeric
         custom_path_document([0.0, 1.0], [eye, eye2]),         # knots differ in size
+        custom_path_document([False, True], [eye] * 2),        # grid holds booleans
+        doc.new_document({"L": {"type": "plane", "x": [[[True, False]]],  # booleans as numbers
+                                "y": doc.encode_matrix(np.zeros((1, 1)))}}),
     ]
 
 
@@ -222,6 +225,12 @@ def test_cli_validation_exit_code(tmp_path, capsys):
         bad = tmp_path / f"malformed{i}.json"
         bad.write_text(json.dumps(raw))
         assert main(["maslov", "--input", str(bad), "--path", "p", "--reference", "M"]) == 2
+    # Zero or negative trials would run nothing and still report "ok".
+    for trials in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "graphs", "--trials", trials])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_relation_round_trip(sample_doc, tmp_path, capsys):

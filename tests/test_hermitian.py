@@ -18,7 +18,6 @@ from lagidx.hermitian import (
     checked_hermitian_part,
     count_above_cutoff,
     hermitian_part,
-    ill_conditioned,
     trusted_inertia,
 )
 
@@ -132,20 +131,19 @@ def test_rank(tol):
     assert rank(np.array([[1.0, 1.0], [1.0, 1.0]]), tol) == 1
     assert rank(np.diag([1.0, AT_CUTOFF]), tol) == 1
     assert rank(np.diag([1.0, ABOVE_CUTOFF]), tol) == 2
-    # The conditioning rule has no floor of 1: cond = 0.5 / 6e-10 < 1e9
-    # passes it, while the count rule's cutoff stays 1e-9 and drops 6e-10.
+    # With s_max < 1 the floor of 1 keeps the cutoff at 1e-9, so 6e-10
+    # is dropped although s_max / s_min < 1e9.
     small = np.diag([0.5, 6e-10])
-    assert not ill_conditioned(small, tol)
     assert rank(small, tol) == 1
 
 
-def test_conditioning_rule_refuses_count_rule_rank_zero(tol):
-    # The ratio s_max / s_min is scale-free: rounding noise and a multiple
-    # of the identity at the 1e-9 cutoff have ratio 1.  A count-rule rank
-    # of 0 makes them ill-conditioned; the next double above is not.
-    assert ill_conditioned(1e-16 * np.eye(3), tol)
-    assert ill_conditioned(AT_CUTOFF * np.eye(3), tol)
-    assert not ill_conditioned(ABOVE_CUTOFF * np.eye(3), tol)
+def test_count_rule_refuses_a_scaled_identity_up_to_the_cutoff(tol):
+    # Rounding noise and a multiple of the identity at the 1e-9 cutoff
+    # have s_max / s_min = 1, yet count-rule rank 0; the next double above
+    # the cutoff has full rank.
+    assert rank(1e-16 * np.eye(3), tol) == 0
+    assert rank(AT_CUTOFF * np.eye(3), tol) == 0
+    assert rank(ABOVE_CUTOFF * np.eye(3), tol) == 3
 
 
 def test_stacked_rules_decide_each_matrix_alone(tol):
@@ -167,9 +165,6 @@ def test_stacked_rules_decide_each_matrix_alone(tol):
     assert inertias == [inertia(m, tol) for m in stack]
     assert [i.as_tuple() for i in inertias] == [
         (0, 1, 1), (0, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 0, 1)]
-    conditioning = ill_conditioned(stack, tol)
-    assert conditioning.tolist() == [bool(ill_conditioned(m, tol)) for m in stack]
-    assert conditioning.tolist() == [True, True, False, False, False, False]
 
 
 def test_count_rule_reads_the_leading_singular_value(tol):

@@ -119,9 +119,14 @@ def test_robin_forced_singular_epsilon():
     # The canonical frame of graph(-2) has X + Y / 2 = 0 exactly.
     with pytest.raises(SingularEpsilon):
         duistermaat_robin(scalar_graph(-2), scalar_graph(0), scalar_graph(1), epsilon=0.5)
-    # robin_map is given its epsilon too, so it keeps the conditioning check.
+    # robin_map is given its epsilon too, so it keeps the count-rule rank
+    # check.
     with pytest.raises(SingularEpsilon):
         robin_map(graph_plane([[-2.0]]), 0.5)
+    # X + 0.5 Y has singular values (0.354, 5.0e-10): s_max / s_min < 1e9,
+    # but the count rule drops 5.0e-10, so the map would have norm 1.8e9.
+    with pytest.raises(SingularEpsilon):
+        robin_map(graph_plane(np.diag([-2.0 * (1.0 - 1.12e-9), -1.0])), 0.5)
 
 
 def test_reduce_agrees_with_omega(rng):

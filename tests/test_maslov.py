@@ -291,6 +291,17 @@ def test_custom_path_finite_differences():
     assert maslov_index(path, scalar_graph(0.5)) == 1
 
 
+def test_callable_path_near_miss_is_decided_at_its_own_point():
+    # The pairing dips to 1e-7 at t = 0.3 and reaches 1e3 at t = 1.  The
+    # grid's cutoff, scaled by 1e3, makes the dip a candidate, but the
+    # point's own pairing has count-rule rank 1: no crossing, as for the
+    # same path scaled to 1, whose dip is not even a candidate.
+    for scale in (1000.0, 1.0):
+        path = custom_path(
+            lambda t, s=scale: (np.eye(1), np.array([[1e-7 + (s / 0.49) * (t - 0.3) ** 2]])), 1)
+        assert find_crossings(path, horizontal_plane(1)) == []
+
+
 def test_custom_path_reads_its_derivative_fn():
     # graph(t diag(1, 2)) meets graph(diag(0.25, 1.5)) at t = 0.25 and
     # t = 0.75.  The crossing forms come from derivative_fn: the true
@@ -404,6 +415,12 @@ def test_segment_inside_the_reference_plane_is_degenerate(rng):
             a = random_hermitian(n, rng)
             with pytest.raises(DegenerateCrossing):
                 find_crossings(graph_segment(a, a), graph_plane(a))
+    # Both ends meet the horizontal plane in a line, and so does every
+    # point between: the pairing's s_max < 1 must not hide that.
+    ends = (np.diag([0.2, 3e-10]), np.diag([0.5, 5e-10]))
+    assert [intersection_dim(horizontal_plane(2), graph_plane(e)) for e in ends] == [1, 1]
+    with pytest.raises(DegenerateCrossing):
+        find_crossings(graph_segment(*ends), horizontal_plane(2))
 
 
 def test_minimal_path_from_a_plane_to_itself_is_degenerate(rng):

@@ -120,8 +120,8 @@ def test_robin_frame_independence(rng, tol):
 
 def test_robin_map_refuses_an_x_plus_eps_y_of_rounding_noise(rng, tol):
     # graph(U (-2I) U*) has X + 0.5 Y = 0 exactly, so in floats it is
-    # rounding noise, whose singular-value ratio alone looks well
-    # conditioned; its count-rule rank of 0 makes it ill-conditioned.
+    # rounding noise: its singular-value ratio is small, but its
+    # count-rule rank is 0.
     for n in (2, 3, 4, 6):
         for _ in range(5):
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -231,10 +231,20 @@ def test_transversal_normalization_sends_pair_to_axes(rng, tol):
 
 
 def test_transversal_normalization_refuses_a_plane_against_itself(rng, tol):
-    # P(L, L) is zero up to rounding: the conditioning rule must refuse it
-    # even though the ratio of its noise singular values is small.
+    # P(L, L) is zero up to rounding: its count-rule rank of 0 must refuse
+    # it even though the ratio of its noise singular values is small.
     for n in (1, 2, 3, 4, 6):
         for _ in range(5):
             plane = random_plane(n, rng)
             with pytest.raises(DualBasisFailure):
                 transversal_normalization(plane, plane, tol)
+
+
+def test_transversal_normalization_agrees_with_intersection_dim(tol):
+    # The pairing has singular values (0.5, 5e-10): s_max / s_min < 1e9,
+    # but the count rule drops 5e-10, so the planes meet in a line and no
+    # symplectic basis (which would have norm 2e9) may be returned.
+    la, lb = horizontal_plane(2), graph_plane(np.diag([5e-10, 0.5]))
+    assert intersection_dim(la, lb, tol) == 1
+    with pytest.raises(DualBasisFailure):
+        transversal_normalization(la, lb, tol)
