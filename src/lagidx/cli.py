@@ -170,11 +170,20 @@ def _parse_n_range(text: str) -> list[int]:
     return values
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(1, text)
+
+
+def _seed(text: str) -> int:
+    """A seed for ``np.random.default_rng``, which refuses negative integers."""
+    return _int_at_least(0, text)
 
 
 def _cmd_verify(args) -> int:
@@ -207,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--planes", nargs=3, required=True, metavar=("L1", "L2", "L3"))
     p_index.add_argument("--method", choices=sorted(METHOD_FLAGS), default="omega")
     p_index.add_argument("--eps", type=float, default=None, help="force the Robin-map epsilon")
-    p_index.add_argument("--seed", type=int, default=0)
+    p_index.add_argument("--seed", type=_seed, default=0)
     p_index.add_argument("--cross-check", action="store_true",
                          help="run every method and compare")
     _add_common(p_index)
@@ -235,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("all", *verify_mod.SUITES))
     p_ver.add_argument("--n", default="1..6", help="dimension range, e.g. 1..6 or 2,4")
     p_ver.add_argument("--trials", type=_positive_int, default=25)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     _add_common(p_ver)
     p_ver.set_defaults(fn=_cmd_verify)
 

@@ -141,7 +141,7 @@ def count_above_cutoff(values: np.ndarray, tol: TolerancePolicy):
     of each set is its first value.  An int for one set, 0 when it is
     empty; for a stack of sets, an array of counts."""
     if values.ndim > 1:
-        return np.sum(values > _cutoff(values[..., :1], tol), axis=-1)
+        return (values > _cutoff(values[..., :1], tol)).sum(axis=-1)
     if not values.size:
         return 0
     return int(np.count_nonzero(values > tol.rank_rel_tol * max(values[0], 1.0)))

@@ -14,10 +14,12 @@ Every built-in path (segments of graphs, scaled projectors, minimal paths
 and document ``custom`` paths) is a PiecewiseLinearPath: its frame is
 linear in t between knots.  On each linear piece the pairing with the
 reference plane is a matrix pencil K(t) = K(s0) + (t - s0) K1, so the
-crossings are the real roots of det K(t): one eigenvalue solve per piece
-(Robbin and Salamon, "The Maslov index for paths", Topology 32, 1993, for
-crossing forms).  Reparametrizations are solved on their base path.  Only
-paths given by a frame callable are sampled, at a fixed 2048 points.
+crossings are the real roots of det K(t) (Robbin and Salamon, "The Maslov
+index for paths", Topology 32, 1993, for crossing forms).  One pass per
+path solves the pencils of all its pieces as one stack, so a path takes
+the same number of LAPACK calls whatever its number of pieces and roots.
+Reparametrizations are solved on their base path.  Only paths given by a
+frame callable are sampled, at a fixed 2048 points.
 """
 
 from __future__ import annotations
@@ -76,14 +78,16 @@ class PiecewiseLinearPath:
     (X_k + (t - t_k) X'_k; Y_k + (t - t_k) Y'_k), the same pencil that
     find_crossings solves.  At an interior knot ``frame_at`` and
     ``derivative_at`` use the piece to its right.
+
+    The pieces are kept once, in ``frames``: the stacks (xs, ys, xds, yds)
+    as one array of shape (4, m, n, n).
     """
 
     def __init__(self, knots, xs, ys, xds, yds, kind: str):
         self.knots = [float(t) for t in knots]
         self.kind = kind
-        self._pieces = [(lo, hi, *(np.asarray(a, dtype=complex) for a in frames))
-                        for lo, hi, *frames in zip(self.knots, self.knots[1:], xs, ys, xds, yds)]
-        self.n = self._pieces[0][2].shape[0]
+        self.frames = np.asarray([xs, ys, xds, yds], dtype=complex)
+        self.n = self.frames.shape[-1]
 
     @classmethod
     def through(cls, knots, xs, ys) -> "PiecewiseLinearPath":
@@ -91,20 +95,28 @@ class PiecewiseLinearPath:
         h = np.diff(knots)[:, None, None]
         return cls(knots, xs[:-1], ys[:-1], np.diff(xs, axis=0) / h, np.diff(ys, axis=0) / h, "custom")
 
-    def _piece(self, t: float):
-        return self._pieces[min(max(bisect.bisect_right(self.knots, t) - 1, 0), len(self._pieces) - 1)]
+    def _index(self, t: float) -> int:
+        return min(max(bisect.bisect_right(self.knots, t) - 1, 0), len(self.knots) - 2)
 
     def frame_at(self, t: float):
-        lo, _, x, y, xd, yd = self._piece(t)
-        return x + (t - lo) * xd, y + (t - lo) * yd
+        x, y = self.frames_at([t])[:, 0]
+        return x, y
+
+    def frames_at(self, ts):
+        """Frames at each t of ts: one array of shape (2, len(ts), n, n)
+        holding the stacks of X and of Y."""
+        ks = [self._index(t) for t in ts]
+        w = np.array([t - self.knots[k] for t, k in zip(ts, ks)]).reshape(-1, 1, 1)
+        f = self.frames[:, ks]
+        return f[:2] + w * f[2:]
 
     def derivative_at(self, t: float):
-        return self._piece(t)[4:]
+        return tuple(self.frames[2:, self._index(t)])
 
     def pieces(self):
         """Linear pieces (lo, hi, x, y, xd, yd): on [lo, hi] the frame is
         (x + (t - lo) xd; y + (t - lo) yd)."""
-        return self._pieces
+        return list(zip(self.knots, self.knots[1:], *self.frames))
 
 
 class CustomPath:
@@ -229,8 +241,10 @@ def _golden_minimize(f, lo: float, hi: float, width: float = _REFINE_WIDTH) -> f
 
 
 def _restricted_form(basis: np.ndarray, x, y, xd, yd) -> np.ndarray:
-    form = hermitian_part(x.conj().T @ yd - y.conj().T @ xd)
-    return hermitian_part(basis.conj().T @ form @ basis)
+    """The crossing form restricted to the basis; for one matrix, or for
+    each matrix of stacks of equal shape."""
+    form = hermitian_part(x.conj().swapaxes(-1, -2) @ yd - y.conj().swapaxes(-1, -2) @ xd)
+    return hermitian_part(basis.conj().swapaxes(-1, -2) @ form @ basis)
 
 
 def crossing_form(path, t0: float, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -253,9 +267,13 @@ def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL)
     Piecewise-linear paths and their reparametrizations are solved
     exactly: on each linear piece the crossings are the real roots of the
     pairing pencil K(t) = K(s0) + (t - s0) K1, taken from the eigenvalues
-    of K(s0)^-1 K1.  A root counts as a crossing only where
-    ``kernel_basis`` finds a nontrivial intersection, and k roots within
-    1e-9 of each other must meet an intersection of dimension k, else
+    of K(s0)^-1 K1.  One pass per path stacks every piece: one SVD of the
+    probe pairings, one ``solve`` and one ``eigvals`` for the pencils, one
+    SVD for the kernels at the candidate meeting points, and one
+    ``trusted_inertia`` call per crossing dimension for the restricted
+    forms.  A root counts as a crossing only where the pairing has a
+    kernel (count-rule rank below n), and k roots within 1e-9 of each
+    other must meet an intersection of dimension k, else
     UnresolvedCluster is raised.  A root within 1e-9 of a piece end is
     placed on it only when the pairing has a kernel at that end; else it
     stays inside its piece.  A crossing at an interior knot needs roots
@@ -264,7 +282,9 @@ def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL)
     recorded once when the restricted forms of both pieces have equal
     inertia, else DegenerateCrossing is raised.  A pairing of count-rule
     rank below n at every probe point of a piece, so singular on all of
-    it, raises DegenerateCrossing.
+    it, raises DegenerateCrossing.  The pieces are walked in order: such
+    a piece raises after the root clusters of the pieces before it are
+    checked, and before any crossing form is.
 
     Paths given by a frame callable are sampled instead: the smallest
     singular value of K(t) on 2048 fixed points, each plausible valley
@@ -310,59 +330,43 @@ def _schedule_inverse(phi, s: float) -> float:
     return mid
 
 
-def _root_clusters(roots: np.ndarray) -> list[np.ndarray]:
-    """Roots joined by chains of distances under 1e-9."""
-    label = np.arange(len(roots))
-    near = np.abs(roots[:, None] - roots[None, :]) < _CLUSTER_WIDTH
-    for i, j in zip(*np.nonzero(np.triu(near, 1))):
-        label[label == label[j]] = label[i]
-    return [roots[label == v] for v in np.unique(label)]
+def _mean(values: list[float]) -> float:
+    """``np.mean`` of the values, bit for bit: numpy adds fewer than eight
+    values one by one from 0.0, and longer runs pairwise."""
+    if len(values) >= 8:
+        return float(np.mean(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
-def _pencil_roots(ka: np.ndarray, kd: np.ndarray, lo: float, hi: float,
-                  tol: TolerancePolicy) -> list[tuple[float, int, bool]]:
-    """Root clusters of det(ka + (t - lo) kd) whose mean real part t lies
-    within 1e-9 of [lo, hi], as (t, size, beyond) triples; ``beyond``
-    says every root of the cluster lies outside [lo, hi].
+def _root_clusters(roots: np.ndarray) -> list[list[list[float]]]:
+    """For each row of roots, its finite roots joined by chains of
+    distances under 1e-9, each cluster as the real parts of its roots.
 
-    The shift s0 is the one of n + 1 fixed points inside the piece whose
-    pairing has the largest count-rule margin s_min / max(1, s_max).  A
-    regular pencil has at most n roots, so when the pairing has count-rule
-    rank below n at every one of them det K vanishes identically.
+    Every root starts with its own label, and each pair i < j within 1e-9,
+    taken in order, gives the label of i to all roots labelled as j.
+    Clusters come in the order of their final labels, roots in input
+    order.  The distances come from one numpy call for all rows; the rest
+    runs over plain floats.
     """
-    n = ka.shape[0]
-    shifts = lo + (np.arange(1, n + 2) * _GOLDEN % 1.0) * (hi - lo)
-    probes = ka + (shifts - lo)[:, None, None] * kd
-    s = np.linalg.svd(probes, compute_uv=False)
-    best = int(np.argmax(s[:, -1] / np.maximum(1.0, s[:, 0])))
-    if count_above_cutoff(s[best], tol) < n:
-        raise DegenerateCrossing(
-            f"pairing with the reference plane is singular on all of [{lo:.12f}, {hi:.12f}]")
-    lam = np.linalg.eigvals(np.linalg.solve(probes[best], kd))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        roots = shifts[best] - 1.0 / lam
-    found = []
-    for cluster in _root_clusters(roots[np.isfinite(roots)]):
-        t = float(np.mean(cluster.real))
-        if lo - _ENDPOINT_TOL <= t <= hi + _ENDPOINT_TOL:
-            beyond = bool(np.all(cluster.real < lo) or np.all(cluster.real > hi))
-            found.append((t, len(cluster), beyond))
-    return found
-
-
-def _meet(path, m: LagrangianPlane, t: float, lo: float, hi: float,
-          tol: TolerancePolicy) -> tuple[float, np.ndarray] | None:
-    """Where a root with real part t meets the reference plane, with the
-    kernel basis there: on a piece end within 1e-9 of t when the pairing
-    has a kernel at that end, else at t itself when it lies in [lo, hi].
-    """
-    ends = [e for e in (lo, hi) if abs(t - e) <= _ENDPOINT_TOL]
-    inside = [t] if lo <= t <= hi and t not in ends else []
-    for s in ends + inside:
-        basis = kernel_basis(_pairing_at(path, m, s), tol)
-        if basis.shape[1]:
-            return s, basis
-    return None
+    with np.errstate(invalid="ignore"):
+        near = (np.abs(roots[..., :, None] - roots[..., None, :]) < _CLUSTER_WIDTH).tolist()
+    clusters = []
+    for close, finite, reals in zip(near, np.isfinite(roots).tolist(), roots.real.tolist()):
+        keep = [i for i, f in enumerate(finite) if f]
+        label = list(range(len(reals)))
+        for a, i in enumerate(keep):
+            for j in keep[a + 1:]:
+                if close[i][j] and label[j] != label[i]:
+                    old, new = label[j], label[i]
+                    label = [new if v == old else v for v in label]
+        groups: dict[int, list[float]] = {}
+        for i in keep:
+            groups.setdefault(label[i], []).append(reals[i])
+        clusters.append([groups[v] for v in sorted(groups)])
+    return clusters
 
 
 def _append_crossing(crossings: list[Crossing], t: float, form_in: Inertia) -> None:
@@ -377,48 +381,126 @@ def _append_crossing(crossings: list[Crossing], t: float, form_in: Inertia) -> N
     crossings.append(Crossing(t, form_in.dim, form_in))
 
 
-def _pencil_crossings(path, m: LagrangianPlane, tol: TolerancePolicy) -> list[Crossing]:
+def _pencil_crossings(path: PiecewiseLinearPath, m: LagrangianPlane,
+                      tol: TolerancePolicy) -> list[Crossing]:
+    """Crossings from the pairing pencils of all pieces at once.
+
+    Piece k has K(t) = K(lo) + (t - lo) K1 on [lo, hi].  Its shift s0 is
+    the one of n + 1 fixed points inside the piece whose pairing has the
+    largest count-rule margin s_min / max(1, s_max), and its roots are
+    s0 - 1/lambda for the eigenvalues lambda of K(s0)^-1 K1.  A regular
+    pencil has at most n roots, so when the pairing has count-rule rank
+    below n at every probe, det K vanishes on the whole piece.  The pieces
+    are walked in order and the walk ends at the first such piece, so only
+    the pieces before it are solved.
+    """
+    n, knots, frames = path.n, path.knots, path.frames
     mxh, myh = m.x.conj().T, m.y.conj().T
-    pieces = path.pieces()
-    # Kernel basis by parameter, with the root clusters met there: their
-    # sizes, and whether each lies beyond its own piece.
-    found: dict[float, tuple[np.ndarray, list[tuple[int, bool]]]] = {}
-    for lo, hi, x, y, xd, yd in pieces:
-        for t, size, beyond in _pencil_roots(mxh @ y - myh @ x, mxh @ yd - myh @ xd, lo, hi, tol):
-            hit = _meet(path, m, t, lo, hi, tol)
-            if hit is not None:
-                found.setdefault(hit[0], (hit[1], []))[1].append((size, beyond))
-            elif size > 1:
-                raise UnresolvedCluster(
-                    f"{size} pencil roots at t={t:.12f} where the intersection is trivial")
+    ka, kd = mxh @ frames[1::2] - myh @ frames[0::2]
+    lo, hi = np.array(knots[:-1]), np.array(knots[1:])
+    shifts = lo[:, None] + (np.arange(1, n + 2) * _GOLDEN % 1.0) * (hi - lo)[:, None]
+    probes = ka[:, None] + (shifts - lo[:, None])[..., None, None] * kd[:, None]
+    s = np.linalg.svd(probes, compute_uv=False)
+    best = np.argmax(s[..., -1] / np.maximum(1.0, s[..., 0]), axis=-1)
+    regular = (count_above_cutoff(s[np.arange(len(lo)), best], tol) == n).tolist()
+    walk = regular.index(False) if False in regular else len(regular)
+    picked = (np.arange(walk), best[:walk])
+    lam = np.linalg.eigvals(np.linalg.solve(probes[picked], kd[:walk]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        roots = shifts[picked][:, None] - 1.0 / lam
+
+    # Root clusters whose mean real part t lies within 1e-9 of their
+    # piece, with the points where each may meet the reference plane, in
+    # order: piece ends within 1e-9 of t, then t itself inside the piece.
+    # ``beyond`` says every root of the cluster lies outside the piece.
+    clusters = []
+    for k, row in enumerate(_root_clusters(roots)):
+        a, b = knots[k], knots[k + 1]
+        for reals in row:
+            t = _mean(reals)
+            if a - _ENDPOINT_TOL <= t <= b + _ENDPOINT_TOL:
+                ends = [e for e in (a, b) if abs(t - e) <= _ENDPOINT_TOL]
+                candidates = ends + ([t] if a <= t <= b and t not in ends else [])
+                beyond = all(r < a for r in reals) or all(r > b for r in reals)
+                clusters.append((t, len(reals), beyond, candidates))
+
+    if not clusters and walk == len(regular):
+        return []  # no root near any piece, and no singular piece
+    # The frame at every candidate point, and the pairing's kernel there
+    # from one SVD of their stack: the last dim rows of V*, dim being n
+    # less the count-rule rank.
+    points = list(dict.fromkeys(p for *_, ps in clusters for p in ps))
+    at = {p: i for i, p in enumerate(points)}
+    xy = path.frames_at(points)
+    _, sv, vh = np.linalg.svd(mxh @ xy[1] - myh @ xy[0])
+    dims = (n - count_above_cutoff(sv, tol)).tolist()
+
+    # Meeting points, with the root clusters met there: their sizes, and
+    # whether each lies beyond its own piece.
+    found: dict[float, list[tuple[int, bool]]] = {}
+    for t, size, beyond, ps in clusters:
+        hit = next((p for p in ps if dims[at[p]]), None)
+        if hit is not None:
+            found.setdefault(hit, []).append((size, beyond))
+        elif size > 1:
+            raise UnresolvedCluster(
+                f"{size} pencil roots at t={t:.12f} where the intersection is trivial")
+    if walk < len(regular):
+        raise DegenerateCrossing(
+            f"pairing with the reference plane is singular on all of "
+            f"[{knots[walk]:.12f}, {knots[walk + 1]:.12f}]")
+
+    meets = sorted(found)
+    sides = _restricted_inertias(path, meets, [at[t] for t in meets], xy, vh, dims, tol)
     crossings: list[Crossing] = []
-    for t, (basis, clusters) in sorted(found.items(), key=lambda item: item[0]):
-        x, y = path.frame_at(t)
-        # One side inside a piece; both sides at an interior knot.
-        sides = [trusted_inertia(_restricted_form(basis, x, y, xd, yd), tol)
-                 for lo, hi, _, _, xd, yd in pieces if lo <= t <= hi]
-        if len(clusters) < len(sides):
+    for t, side in zip(meets, sides):
+        met = found[t]
+        if len(met) < len(side):
             # Both pencils at a knot pass through its pairing, so a
             # crossing there has roots on both sides.  A lone cluster from
             # beyond its piece lies in the other piece, whose own roots
             # cover that stretch.
-            if clusters[0][1]:
+            if met[0][1]:
                 continue
             raise UnresolvedCluster(
                 f"pencil roots near knot t={t:.12f} come from one side only")
-        if any(s != sides[0] for s in sides):
+        if any(other != side[0] for other in side):
             raise DegenerateCrossing(
                 f"crossing at knot t={t:.12f} has restricted form inertia "
-                f"{sides[0].as_tuple()} on the left and {sides[1].as_tuple()} on the right")
+                f"{side[0].as_tuple()} on the left and {side[1].as_tuple()} on the right")
         # A degenerate crossing is also a multiple root, so the form's
         # nullity is checked before the cluster sizes.
-        _append_crossing(crossings, t, sides[0])
-        sizes = [size for size, _ in clusters]
-        if any(size != basis.shape[1] for size in sizes):
+        _append_crossing(crossings, t, side[0])
+        sizes = [size for size, _ in met]
+        if any(size != dims[at[t]] for size in sizes):
             raise UnresolvedCluster(
                 f"{sizes} pencil roots at t={t:.12f} where the intersection has "
-                f"dimension {basis.shape[1]}")
+                f"dimension {dims[at[t]]}")
     return crossings
+
+
+def _restricted_inertias(path: PiecewiseLinearPath, meets: list[float], at: list[int],
+                         xy: np.ndarray, vh: np.ndarray, dims: list[int],
+                         tol: TolerancePolicy) -> list[list[Inertia]]:
+    """Inertia of the crossing form at each meeting point, restricted to
+    the kernel there, with the derivative of each piece that holds the
+    point: one piece inside it, both at an interior knot.
+
+    meets[i] is entry at[i] of the stacks xy (frames, as from
+    ``frames_at``), vh (V* of the pairing) and dims (kernel dimensions).  The forms are stacked by
+    kernel dimension, one ``trusted_inertia`` call for each dimension.
+    """
+    n, knots = path.n, path.knots
+    sides = [[k for k in range(len(knots) - 1) if knots[k] <= t <= knots[k + 1]] for t in meets]
+    entries = [(i, k) for i, ks in enumerate(sides) for k in ks]
+    inertias: dict[tuple[int, int], Inertia] = {}
+    for d in {dims[i] for i in at}:
+        group = [(i, k) for i, k in entries if dims[at[i]] == d]
+        rows, on = [at[i] for i, _ in group], [k for _, k in group]
+        basis = vh[rows, n - d:].conj().swapaxes(-1, -2)
+        form = _restricted_form(basis, *xy[:, rows], *path.frames[2:, on])
+        inertias.update(zip(group, trusted_inertia(form, tol)))
+    return [[inertias[i, k] for k in ks] for i, ks in enumerate(sides)]
 
 
 def _grid_crossings(path, m: LagrangianPlane, tol: TolerancePolicy) -> list[Crossing]:

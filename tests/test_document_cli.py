@@ -233,6 +233,20 @@ def test_cli_validation_exit_code(tmp_path, capsys):
         assert "must be at least 1" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_negative_seed(sample_doc, capsys):
+    # np.random.default_rng refuses a negative seed; the parser must
+    # refuse it first, with the usage exit code and no traceback.
+    for argv in (["verify", "--suite", "graphs", "--n", "1", "--trials", "1"],
+                 ["index", "--input", sample_doc, "--planes", "L0", "L1", "L2",
+                  "--method", "robin"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "must be at least 0, got -1" in capsys.readouterr().err
+        assert main([*argv, "--seed", "0"]) == 0
+        capsys.readouterr()
+
+
 def test_cli_relation_round_trip(sample_doc, tmp_path, capsys):
     out_file = str(tmp_path / "out.json")
     assert main(["relation", "--input", sample_doc, "--op", "difference",

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from lagidx import (
 )
 from lagidx import document as doc
 from lagidx.hermitian import random_hermitian
-from lagidx.maslov import custom_path, index_from_crossings
+from lagidx.maslov import _mean, _root_clusters, custom_path, index_from_crossings
 
 
 def scalar_graph(s):
@@ -178,8 +180,12 @@ def test_is_nondecreasing():
 def scalar_knot_path(values, grid=(0.0, 0.5, 1.0), n=1):
     """Document custom path through the graphs of the given multiples of
     the n x n identity."""
-    frames = [{"x": doc.encode_matrix(np.eye(n)), "y": doc.encode_matrix(v * np.eye(n))}
-              for v in values]
+    return graph_knot_path([v * np.eye(n) for v in values], grid)
+
+
+def graph_knot_path(graphs, grid):
+    """Document custom path through the graphs of the given matrices."""
+    frames = [{"x": doc.encode_matrix(np.eye(len(a))), "y": doc.encode_matrix(a)} for a in graphs]
     raw = doc.new_document({"p": {"type": "path", "kind": "custom", "grid": list(grid),
                                   "frames": frames}})
     return doc.Document(raw).path("p")
@@ -441,3 +447,116 @@ def test_index_from_crossings_is_pure():
     ]
     # start: +1; interior: +1-1; end: -1
     assert index_from_crossings(crossings) == 0
+
+
+def test_one_solve_and_one_eigvals_per_path(monkeypatch):
+    # The pencils of all pieces are solved as one stack, whatever the
+    # number of pieces and of roots.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("solve", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    rng = np.random.default_rng(13)
+    seen = 0
+    for pieces in (1, 2, 4):
+        grid = [0.0] + sorted(rng.uniform(0.1, 0.9, pieces - 1).tolist()) + [1.0]
+        graphs = [random_hermitian(3, rng) - 2.0 * np.eye(3)]
+        for _ in range(pieces):
+            graphs.append(graphs[-1] + 4.0 / pieces * np.eye(3) + 0.3 * random_hermitian(3, rng))
+        calls.clear()
+        seen += len(find_crossings(graph_knot_path(graphs, grid), graph_plane(random_hermitian(3, rng))))
+        assert calls == {"solve": 1, "eigvals": 1}
+    assert seen >= 3
+
+
+def parent_root_clusters(roots):
+    """The numpy clustering that the per-path pass replaced, kept as the
+    reference: finite roots, one label each, pairs i < j within 1e-9
+    relabelling j's cluster as i's, clusters in label order with their
+    mean real part."""
+    roots = roots[np.isfinite(roots)]
+    label = np.arange(len(roots))
+    near = np.abs(roots[:, None] - roots[None, :]) < 1e-9
+    for i, j in zip(*np.nonzero(np.triu(near, 1))):
+        label[label == label[j]] = label[i]
+    return [(float(np.mean(c.real)), c.real.tolist()) for c in (roots[label == v] for v in np.unique(label))]
+
+
+def plain_root_clusters(roots):
+    return [(_mean(c), c) for c in _root_clusters(np.asarray(roots)[None])[0]]
+
+
+def test_root_clusters_keep_the_numpy_semantics():
+    # a-b and b-c are closer than 1e-9, a-c is not: one cluster, in input
+    # order, with the mean of the real parts
+    a, b, c = 0.3 + 1e-12j, 0.3 + 6e-10, 0.3 + 1.2e-9 - 1e-12j
+    roots = np.array([c, a, 0.7, b])
+    assert plain_root_clusters(roots) == [
+        (float(np.mean([c.real, a.real, b.real])), [c.real, a.real, b.real]), (0.7, [0.7])]
+    # roots at lambda = 0 are not finite and are dropped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = 0.6 - 1.0 / np.array([0j, 1.0 / 0.6 + 0j, 0j, -2.0 + 0j])
+    assert [m for m, _ in plain_root_clusters(roots)] == [0.0, 1.1]
+    # clusters come in the order of their final labels: 0 joins 3, then
+    # 2 relabels that cluster as 2, after the lone root 1
+    p, s = 0.5, 0.5 + 7e-10
+    roots = np.array([p, 0.2, s + 7e-10, s])
+    assert plain_root_clusters(roots) == [(0.2, [0.2]), (float(np.mean(roots[[0, 2, 3]])),
+                                                       [p, s + 7e-10, s])]
+    # the same clusters as the numpy version, also past eight roots, where
+    # numpy sums pairwise
+    rng = np.random.default_rng(4)
+    cases = [roots, 0.4 + 1e-11 * rng.permutation(12) + 1e-12j * rng.standard_normal(12)]
+    for _ in range(400):
+        k = int(rng.integers(1, 17))
+        centers = rng.uniform(0, 1, 3)[rng.integers(0, 3, k)]
+        spread = rng.uniform(0, 1.5e-9, k) * rng.integers(0, 2, k)
+        z = centers + spread + 1e-10j * rng.standard_normal(k)
+        z[rng.uniform(size=k) < 0.1] = complex(np.inf, np.nan)
+        cases.append(z)
+    for z in cases:
+        assert plain_root_clusters(z) == parent_root_clusters(z)
+    # rows of a stack are clustered apart
+    rows = np.array([[0.25, 0.8], [0.25 + 5e-10, 0.1]])
+    assert _root_clusters(rows) == [[[0.25], [0.8]], [[0.25 + 5e-10], [0.1]]]
+
+
+def test_stacked_pieces_match_one_piece_paths(rng):
+    # Each piece of a custom path, rebuilt as a path of its own, has the
+    # crossings of the whole path on that piece.
+    seen = 0
+    for trial in range(36):
+        n, pieces = 1 + trial % 6, 2 + trial % 3
+        grid = [0.0] + sorted(rng.uniform(0.1, 0.9, pieces - 1).tolist()) + [1.0]
+        graphs = [random_hermitian(n, rng) for _ in range(pieces + 1)]
+        m = graph_plane(random_hermitian(n, rng))
+        whole = find_crossings(graph_knot_path(graphs, grid), m)
+        alone = [(lo + c.t * (hi - lo), c.dim, c.form_inertia)
+                 for k, (lo, hi) in enumerate(zip(grid, grid[1:]))
+                 for c in find_crossings(graph_knot_path(graphs[k:k + 2], (0.0, 1.0)), m)]
+        assert [(c.dim, c.form_inertia) for c in whole] == [(d, f) for _, d, f in alone]
+        assert [c.t for c in whole] == pytest.approx([t for t, _, _ in alone], abs=1e-12)
+        seen += len(whole)
+    assert seen >= 30
+
+
+def test_singular_piece_ends_the_walk_where_it_lies(rng):
+    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+    for n in range(1, 7):
+        c = random_hermitian(n, rng)
+        graphs = [random_hermitian(n, rng), random_hermitian(n, rng), c, c, random_hermitian(n, rng)]
+        with pytest.raises(DegenerateCrossing,
+                           match=r"singular on all of \[0\.500000000000, 0\.750000000000\]"):
+            find_crossings(graph_knot_path(graphs, grid), graph_plane(c))
+    # The first piece has two roots 2.5e-10 apart at t = 0.125, where the
+    # pairing has singular values 1e-6: its error comes first.
+    d = np.diag([-1e-6, 1e-6])
+    graphs = [-1000.0 * np.eye(2), 1000.0 * np.eye(2), d, d, np.eye(2)]
+    with pytest.raises(UnresolvedCluster, match=r"2 pencil roots at t=0\.125000000000 where"):
+        find_crossings(graph_knot_path(graphs, grid), graph_plane(d))
