@@ -475,7 +475,7 @@ def test_one_solve_and_one_eigvals_per_path(monkeypatch):
     assert seen >= 3
 
 
-def parent_root_clusters(roots):
+def numpy_root_clusters(roots):
     """The numpy clustering that the per-path pass replaced, kept as the
     reference: finite roots, one label each, pairs i < j within 1e-9
     relabelling j's cluster as i's, clusters in label order with their
@@ -496,23 +496,24 @@ def test_root_clusters_keep_the_numpy_semantics():
     # a-b and b-c are closer than 1e-9, a-c is not: one cluster, in input
     # order, with the mean of the real parts
     a, b, c = 0.3 + 1e-12j, 0.3 + 6e-10, 0.3 + 1.2e-9 - 1e-12j
-    roots = np.array([c, a, 0.7, b])
-    assert plain_root_clusters(roots) == [
+    chain = np.array([c, a, 0.7, b])
+    assert plain_root_clusters(chain) == [
         (float(np.mean([c.real, a.real, b.real])), [c.real, a.real, b.real]), (0.7, [0.7])]
     # roots at lambda = 0 are not finite and are dropped
     with np.errstate(divide="ignore", invalid="ignore"):
-        roots = 0.6 - 1.0 / np.array([0j, 1.0 / 0.6 + 0j, 0j, -2.0 + 0j])
-    assert [m for m, _ in plain_root_clusters(roots)] == [0.0, 1.1]
+        at_zero = 0.6 - 1.0 / np.array([0j, 1.0 / 0.6 + 0j, 0j, -2.0 + 0j])
+    assert [m for m, _ in plain_root_clusters(at_zero)] == [0.0, 1.1]
     # clusters come in the order of their final labels: 0 joins 3, then
     # 2 relabels that cluster as 2, after the lone root 1
     p, s = 0.5, 0.5 + 7e-10
-    roots = np.array([p, 0.2, s + 7e-10, s])
-    assert plain_root_clusters(roots) == [(0.2, [0.2]), (float(np.mean(roots[[0, 2, 3]])),
-                                                       [p, s + 7e-10, s])]
-    # the same clusters as the numpy version, also past eight roots, where
-    # numpy sums pairwise
+    relabelled = np.array([p, 0.2, s + 7e-10, s])
+    assert plain_root_clusters(relabelled) == [
+        (0.2, [0.2]), (float(np.mean(relabelled[[0, 2, 3]])), [p, s + 7e-10, s])]
+    # the same clusters as the numpy version, on these cases, on twelve
+    # roots (past eight numpy sums pairwise) and on random ones
     rng = np.random.default_rng(4)
-    cases = [roots, 0.4 + 1e-11 * rng.permutation(12) + 1e-12j * rng.standard_normal(12)]
+    cases = [chain, at_zero, relabelled,
+             0.4 + 1e-11 * rng.permutation(12) + 1e-12j * rng.standard_normal(12)]
     for _ in range(400):
         k = int(rng.integers(1, 17))
         centers = rng.uniform(0, 1, 3)[rng.integers(0, 3, k)]
@@ -521,7 +522,7 @@ def test_root_clusters_keep_the_numpy_semantics():
         z[rng.uniform(size=k) < 0.1] = complex(np.inf, np.nan)
         cases.append(z)
     for z in cases:
-        assert plain_root_clusters(z) == parent_root_clusters(z)
+        assert plain_root_clusters(z) == numpy_root_clusters(z)
     # rows of a stack are clustered apart
     rows = np.array([[0.25, 0.8], [0.25 + 5e-10, 0.1]])
     assert _root_clusters(rows) == [[[0.25], [0.8]], [[0.25 + 5e-10], [0.1]]]
