@@ -160,11 +160,14 @@ def _cmd_maslov(args) -> int:
 
 
 def _parse_n_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(v) for v in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(v) for v in text.split(",")]
+    except ValueError:  # a part that is not an integer
+        values = []
     if not values or any(v < 1 for v in values):
         raise ValidationError(f"bad dimension range {text!r}")
     return values

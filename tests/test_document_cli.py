@@ -225,6 +225,10 @@ def test_cli_validation_exit_code(tmp_path, capsys):
         bad = tmp_path / f"malformed{i}.json"
         bad.write_text(json.dumps(raw))
         assert main(["maslov", "--input", str(bad), "--path", "p", "--reference", "M"]) == 2
+    # A dimension range with a part that is not an integer.
+    for n_text in ("x", "1..x", "1,,2"):
+        assert main(["verify", "--suite", "graphs", "--n", n_text, "--trials", "1"]) == 2
+        assert "bad dimension range" in capsys.readouterr().err
     # Zero or negative trials would run nothing and still report "ok".
     for trials in ("0", "-3"):
         with pytest.raises(SystemExit) as exc:

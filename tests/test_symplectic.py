@@ -13,6 +13,7 @@ from lagidx import (
     is_antisymplectic,
     is_symplectic,
     omega,
+    random_plane,
     random_symplectic,
     standard_form,
     swap_map,
@@ -67,6 +68,28 @@ def test_random_symplectic_property():
     # |det S| = 1 follows from S* J S = J
     s = random_symplectic(3, 123)
     assert abs(np.linalg.det(s)) == pytest.approx(1.0, abs=1e-9)
+    # A bad dimension is refused before anything is drawn from the stream.
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    for n in (0, -1):
+        for draw in (random_symplectic, random_plane):
+            with pytest.raises(ValidationError):
+                draw(n, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_random_symplectic_matches_the_reference_exponential():
+    import scipy.linalg  # the reference only; the package itself never loads scipy
+
+    for n, seeds in [*((n, 40) for n in range(1, 9)), (16, 10), (32, 4)]:
+        for seed in range(seeds):
+            # The same draw and rescaling as random_symplectic.
+            h = random_hermitian(2 * n, np.random.default_rng(seed))
+            h *= min(1.0, 1.5 / np.linalg.norm(h, 2))
+            ref = scipy.linalg.expm(standard_form(n) @ h)
+            s = random_symplectic(n, seed)
+            assert np.linalg.norm(s - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert is_symplectic(s)
 
 
 def test_symplectic_group_closure(rng):
@@ -104,9 +127,20 @@ def test_direct_sums(rng):
 
 def test_import_does_not_load_scipy_linalg():
     # A fresh interpreter, so modules imported by other tests do not count.
+    # Neither the import, nor a random plane (exp(J H) is taken without
+    # scipy), nor a verify run may load any scipy module.
     src = os.path.dirname(os.path.dirname(lagidx.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, lagidx; print('scipy.linalg' in sys.modules)"
+    code = ("import sys, lagidx\n"
+            "def scipy_loaded(): return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "print(scipy_loaded())\n"
+            "lagidx.random_plane(3, 0)\n"
+            "print(scipy_loaded())\n"
+            "from lagidx.cli import main\n"
+            "code = main(['verify', '--suite', 'kashiwara', '--n', '1..3', '--trials', '3'])\n"
+            "print(code, scipy_loaded())\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.strip().splitlines()
+    assert lines[:2] == ["False", "False"]
+    assert lines[-1] == "0 False"
