@@ -79,7 +79,6 @@ from .planes import (
     apply_symplectic,
     direct_sum_planes,
     epsilon_select,
-    epsilon_small,
     graph_plane,
     horizontal_plane,
     intersection_dim,

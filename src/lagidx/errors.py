@@ -38,8 +38,8 @@ class EigendecompositionError(LagidxError):
 
 
 class SelectionFailed(LagidxError):
-    """Randomized search (epsilon schedule, transversal companion) exhausted
-    its candidate budget."""
+    """A closed-form selection (Robin epsilons, transversal companion) did
+    not clear the count-rule cutoff."""
 
 
 class SingularEpsilon(LagidxError):

@@ -7,8 +7,8 @@ Algorithms:
 * ``omega``   - inertia of the 3n x 3n pairing form assembled from the
   canonical frames; deterministic, no epsilon, designated reference.
 * ``robin``   - alternating Morse indices of Robin-map differences at a
-  shared epsilon, recomputed at a second independent epsilon with exact
-  integer agreement demanded.
+  shared epsilon, recomputed at a second epsilon, away from the first,
+  with exact integer agreement demanded.
 * ``reduce``  - the axiomatic route: pick a companion plane L4 transversal
   to all three, expand through the cocycle identity, and evaluate each
   term as the Morse index of the graph matrix
@@ -149,11 +149,10 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
     """Duistermaat index through Robin maps at a shared epsilon.
 
     The value is constant in epsilon away from a finite bad set, so it is
-    computed at two independently selected epsilons, in one stacked pass,
-    and any disagreement is raised as a sharp tolerance alarm.  Passing an
-    explicit ``epsilon`` skips selection and the double check.  An int
-    ``seed`` selects the second epsilon with ``seed + 1``; a Generator
-    draws both epsilons from its stream in turn.
+    computed at the two epsilons of :func:`epsilon_select`, in one stacked
+    pass, and any disagreement is raised as a sharp tolerance alarm.
+    Passing an explicit ``epsilon`` skips selection and the double check.
+    ``seed`` is accepted and unused: the selection is closed-form.
     """
     n = _check_triple(l1, l2, l3)
     planes = (l1, l2, l3)
@@ -161,18 +160,13 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
         value, = _robin_values(checked_robin_matrices(planes, epsilon, tol), tol)
         return IndexReport(_check_bounds(value, n, "robin"), "robin", float(epsilon),
                            {"forced_epsilon": True})
-    eps1 = epsilon_select(planes, tol, seed)
-    if isinstance(seed, np.random.Generator):
-        seed2 = seed
-    else:
-        seed2 = None if seed is None else seed + 1
-    eps2 = epsilon_select(planes, tol, seed2, avoid=(eps1,))
+    eps1, eps2, margin = epsilon_select(planes, tol)
     v1, v2 = _robin_values(robin_matrices(planes, (eps1, eps2), tol), tol)
     if v1 != v2:
         raise EpsilonDisagreement(
             f"epsilon {eps1:.6g} gave {v1} but epsilon {eps2:.6g} gave {v2}")
     return IndexReport(_check_bounds(v1, n, "robin"), "robin", eps1,
-                       {"epsilon_second": eps2, "value_second": v2})
+                       {"epsilon_second": eps2, "value_second": v2, "selection_margin": margin})
 
 
 def _reduction_graphs(planes, l4: LagrangianPlane, tol: TolerancePolicy) -> np.ndarray:
@@ -181,10 +175,10 @@ def _reduction_graphs(planes, l4: LagrangianPlane, tol: TolerancePolicy) -> np.n
     B(La, W) = P(La, W) · P(L4, W)^-1 · P(L4, La).
 
     ``transversal_companion`` has already given each of these same
-    G_k = P(L4, L_k) full count-rule rank, and P(La, L4) = -G_a* has the
-    same singular values, so no pairing is decided again here.  An
-    asymmetric B (one of the planes is not Lagrangian) raises
-    DualBasisFailure."""
+    G_k = P(L4, L_k) full count-rule rank, in closed form, and
+    P(La, L4) = -G_a* has the same singular values, so no pairing is
+    decided again here.  An asymmetric B (one of the planes is not
+    Lagrangian) raises DualBasisFailure."""
     x = np.stack([p.x for p in planes])
     y = np.stack([p.y for p in planes])
     g = l4.x.conj().T @ y - l4.y.conj().T @ x
@@ -198,26 +192,27 @@ def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianP
                        tol: TolerancePolicy = DEFAULT_TOL, seed=None) -> IndexReport:
     """Duistermaat index by the axiomatic reduction.
 
-    A companion plane L4 transversal to all three is drawn, and the
-    cocycle identity expands the index into three terms against it.  In
-    the symplectic coordinates where La is horizontal and L4 vertical, the
-    middle plane W of a term is the graph of
+    A companion plane L4 transversal to all three is chosen in closed form
+    by :func:`transversal_companion`, and the cocycle identity expands the
+    index into three terms against it.  In the symplectic coordinates
+    where La is horizontal and L4 vertical, the middle plane W of a term
+    is the graph of
     B(La, W) = P(La, W) · P(L4, W)^-1 · P(L4, La), with P = pairing_matrix,
     and the term is the Morse index of B.
 
-    One companion is drawn; its count-rule verdict is the only
-    transversality check.  An asymmetric B, from a non-Lagrangian plane,
-    raises SelectionFailed from DualBasisFailure.
+    The companion's count-rule verdict is the only transversality check.
+    An asymmetric B, from a non-Lagrangian plane, raises SelectionFailed
+    from DualBasisFailure.  ``seed`` is accepted and unused.
     """
     n = _check_triple(l1, l2, l3)
-    l4 = transversal_companion((l1, l2, l3), tol, seed)
+    l4, margin = transversal_companion((l1, l2, l3), tol)
     try:
         graphs = _reduction_graphs((l1, l2, l3), l4, tol)
     except DualBasisFailure as exc:
         raise SelectionFailed("reduction failed against its companion plane") from exc
     t12, t13, t23 = (i.n_minus for i in trusted_inertia(graphs, tol))
     value = _check_bounds(t12 - t13 + t23, n, "reduce")
-    return IndexReport(value, "reduce", None, {"terms": (t12, t13, t23)})
+    return IndexReport(value, "reduce", None, {"terms": (t12, t13, t23), "selection_margin": margin})
 
 
 def duistermaat_graphs(a, b, c, tol: TolerancePolicy = DEFAULT_TOL) -> int:
@@ -236,7 +231,7 @@ def duistermaat(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
     """Dispatch a triple to one of the index algorithms.
 
     ``closed_form`` requires all three planes to be graphs (transversal
-    to the vertical plane).
+    to the vertical plane).  ``seed`` is accepted and unused.
     """
     if method == "omega":
         return duistermaat_omega(l1, l2, l3, tol)

@@ -27,17 +27,15 @@ from .hermitian import (
     as_hermitian,
     checked_hermitian_part,
     count_above_cutoff,
+    cutoff_for,
     hermitian_part,
     random_hermitian,
     rank,
-    trusted_inertia,
 )
 from .symplectic import random_symplectic, standard_form, swap_map
 
-# Search budgets; the candidate count is also the size of the seeded jitter draw.
-_EPSILON_CANDIDATES = 128
-_EPSILON_HALVINGS = 60
-_COMPANION_ATTEMPTS = 64
+# Robin epsilons are tan(phi) for phi in (0, arctan 1.1], that is eps in (0, 1.1].
+_ROBIN_PHI_MAX = float(np.arctan(1.1))
 
 
 class LagrangianPlane:
@@ -186,60 +184,89 @@ def apply_symplectic(s, plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_T
     return plane_from_stacked(sm @ plane.stacked, tol)
 
 
-def _stacked_frames(planes, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The X blocks and the Y blocks of planes of one dimension, each as
-    a (k, n, n) stack."""
+def _same_dimension(planes, what: str) -> list:
+    """The planes as a list, refused unless there is at least one and all
+    share one dimension."""
     planes = list(planes)
     if not planes:
         raise ValidationError(f"{what} needs at least one plane")
     if any(p.n != planes[0].n for p in planes):
         raise ValidationError("planes live in different dimensions")
+    return planes
+
+
+def _stacked_frames(planes, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The X blocks and the Y blocks of planes of one dimension, each as
+    a (k, n, n) stack."""
+    planes = _same_dimension(planes, what)
     return np.stack([p.x for p in planes]), np.stack([p.y for p in planes])
 
 
-def epsilon_select(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None,
-                   avoid: tuple[float, ...] = ()) -> float:
-    """Pick a positive epsilon at which X + eps Y has full count-rule rank
-    for every plane.
+def _candidate_angles(planes, what: str) -> np.ndarray:
+    """Candidate Souriau angles of k planes of one dimension: a (k, 2n)
+    array in [0, pi], the first n columns in [0, pi/2].
 
-    The schedule tries eps in {1, 1/2, 1/3, ...}, each scaled by a seeded
-    jitter in [0.9, 1.1]; the set of bad epsilon values is finite, so the
-    schedule succeeds generically.  Candidates closer than 1e-9 to any
-    value in ``avoid`` are skipped (used for independent double checks).
-    The planes must share one dimension; each candidate is one stacked SVD.
+    The Souriau map (X + iY)(X - iY)^-1 of an orthonormal Lagrangian frame
+    is unitary with eigenvalues e^{2i theta_j}, and it is similar to the
+    normal matrix (X*X - Y*Y) + 2i X*Y.  Its Hermitian part
+    X*X - Y*Y = 2 X*X - I therefore has the eigenvalues cos(2 theta_j),
+    and X*X the eigenvalues cos^2(theta_j): one stacked ``eigvalsh`` of
+    the X*X gives them.  Each theta_j (mod pi) is then a_j or pi - a_j,
+    with a_j = arccos(|cos theta_j|) in [0, pi/2], and the candidates are
+    both.
     """
-    xs, ys = _stacked_frames(planes, "epsilon_select")
-    n = xs.shape[-1]
-    rng = np.random.default_rng(seed)
-    jitter = rng.uniform(0.9, 1.1, size=_EPSILON_CANDIDATES)
-    for k in range(1, _EPSILON_CANDIDATES + 1):
-        eps = jitter[k - 1] / k
-        if any(abs(eps - a) < 1e-9 for a in avoid):
-            continue
-        if (count_above_cutoff(np.linalg.svd(xs + eps * ys, compute_uv=False), tol) == n).all():
-            return float(eps)
-    raise SelectionFailed(f"no usable epsilon among {_EPSILON_CANDIDATES} candidates")
+    xs = np.stack([p.x for p in _same_dimension(planes, what)])
+    a = np.arccos(np.sqrt(np.clip(np.linalg.eigvalsh(xs.conj().swapaxes(-1, -2) @ xs), 0.0, 1.0)))
+    return np.concatenate([a, np.pi - a], axis=-1)
 
 
-def epsilon_small(planes, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Epsilon in the small positive regime: shrinks geometrically until
-    eps^-1 I - R^eps is positive semidefinite for every given plane."""
-    planes = list(planes)
-    if not planes:
-        raise ValidationError("epsilon_small needs at least one plane")
-    eps = 0.5
-    for _ in range(_EPSILON_HALVINGS):
-        try:
-            ok = all(
-                trusted_inertia(np.eye(p.n) / eps - robin_map(p, eps, tol).matrix, tol).n_minus == 0
-                for p in planes
-            )
-        except SingularEpsilon:
-            ok = False
-        if ok:
-            return eps
-        eps /= 2.0
-    raise SelectionFailed("no small epsilon reached the positive regime")
+def _selection_margin(values: np.ndarray, tol: TolerancePolicy, what: str) -> float:
+    """The count-rule verdict on closed-form singular values, one set per
+    matrix along the last axis: the smallest ratio of a set's least value
+    to the set's cutoff.  A ratio of at most 1 raises SelectionFailed.
+
+    The sets hold the values at every candidate angle, a superset of the
+    true ones, so their least value is at most the true smallest singular
+    value and their largest at least the true largest: a set that passes
+    is a matrix of full count-rule rank."""
+    margin = float(np.min(values.min(axis=-1) / cutoff_for(values, tol)))
+    if not margin > 1.0:
+        raise SelectionFailed(f"{what}: closed-form margin {margin:.3g} does not clear the count-rule cutoff")
+    return margin
+
+
+def epsilon_select(planes, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, float, float]:
+    """Two positive Robin epsilons at which X + eps Y has full count-rule
+    rank for every plane, and the selection margin.
+
+    With eps = tan(phi), X + eps Y has the singular values
+    |cos(theta_j - phi)| / cos(phi), theta_j the Souriau angles of the
+    plane, so its zeros are the phi = theta_j + pi/2 (mod pi).  The
+    epsilons are taken in (0, 1.1], that is phi in (0, arctan 1.1]: each
+    phi is the midpoint of one of the two widest gaps that the candidate
+    zeros (2n per plane) leave in that interval, or, when the second gap
+    is less than half as wide as the first, the two quarter points of the
+    widest gap.  For m planes every phi then lies at least
+    arctan(1.1) / (4(2mn + 1)) from every zero, and the smallest singular
+    value is at least the sine of that distance.
+
+    Returns ``(eps1, eps2, margin)``, margin as in :func:`_selection_margin`;
+    a margin of at most 1 raises SelectionFailed.  No draw, SVD or retry.
+    """
+    theta = _candidate_angles(planes, "epsilon_select")
+    zeros = np.mod(theta + np.pi / 2, np.pi).ravel()
+    ends = np.concatenate([[0.0], np.sort(zeros[(zeros > 0.0) & (zeros < _ROBIN_PHI_MAX)]),
+                           [_ROBIN_PHI_MAX]])
+    gaps = np.diff(ends)
+    order = np.argsort(-gaps, kind="stable")
+    if gaps.size > 1 and 2.0 * gaps[order[1]] >= gaps[order[0]]:
+        phi = ends[order[:2]] + gaps[order[:2]] / 2
+    else:
+        phi = ends[order[0]] + gaps[order[0]] * np.array([0.25, 0.75])
+    values = np.abs(np.cos(theta - phi[:, None, None])) / np.cos(phi)[:, None, None]
+    margin = _selection_margin(values, tol, "epsilon selection")
+    eps1, eps2 = np.tan(phi).tolist()
+    return eps1, eps2, margin
 
 
 def robin_map(plane: LagrangianPlane, epsilon: float, tol: TolerancePolicy = DEFAULT_TOL) -> RobinMap:
@@ -314,27 +341,33 @@ def random_plane_with_mul(n: int, mul_dim: int, seed=None, tol: TolerancePolicy 
     return plane_from_frame(x, y, tol)
 
 
-def transversal_companion(planes, tol: TolerancePolicy = DEFAULT_TOL, seed=None) -> LagrangianPlane:
-    """A plane transversal to every plane in the list (at most 3 expected).
+def transversal_companion(planes, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[LagrangianPlane, float]:
+    """A plane transversal to every plane in the list, and the selection
+    margin.
 
-    Samples graphs of random Hermitian matrices, alternating with their
-    swapped versions; failure after the attempt budget signals genuinely
-    ill-conditioned inputs and raises SelectionFailed.  Each candidate is
-    tested against all planes with one stacked SVD of its pairings.  The
-    output of ``random_hermitian`` is exactly Hermitian, so the graph frame
-    (I; H) is Lagrangian by construction and goes to ``trusted_plane``.
+    The companion is the scalar plane L_phi = (cos(phi) I; sin(phi) I),
+    whose pairing with a plane of Souriau angles theta_j has the singular
+    values |sin(theta_j - phi)|.  phi is the midpoint of the widest gap
+    that the candidate angles of all the planes (2n per plane) leave on
+    the circle of length pi, so for m planes every pairing has smallest
+    singular value at least sin(pi / (4mn)).  The candidates, and so
+    their gaps, are symmetric under theta -> pi - theta; phi is taken in
+    [0, pi/2], so that rounding does not pick between a gap and its
+    mirror image.
+
+    Returns ``(plane, margin)``, margin as in :func:`_selection_margin`; a
+    margin of at most 1 raises SelectionFailed.  No draw, SVD or retry.
     """
-    xs, ys = _stacked_frames(planes, "transversal_companion")
-    n = xs.shape[-1]
-    rng = np.random.default_rng(seed)
-    for attempt in range(_COMPANION_ATTEMPTS):
-        cand = trusted_plane(np.vstack([np.eye(n), random_hermitian(n, rng)]))
-        if attempt % 2:
-            cand = trusted_plane(swap_map(n) @ cand.stacked)
-        pairings = cand.x.conj().T @ ys - cand.y.conj().T @ xs
-        if (count_above_cutoff(np.linalg.svd(pairings, compute_uv=False), tol) == n).all():
-            return cand
-    raise SelectionFailed(f"no transversal companion found in {_COMPANION_ATTEMPTS} attempts")
+    theta = _candidate_angles(planes, "transversal_companion")
+    n = theta.shape[-1] // 2
+    a = np.sort(theta[..., :n].ravel())
+    ends = np.concatenate([[-a[0]], a, [np.pi - a[-1]]])
+    gaps = np.diff(ends)
+    k = int(np.argmax(gaps))
+    phi = float(ends[k] + gaps[k] / 2)
+    margin = _selection_margin(np.abs(np.sin(theta - phi)), tol, "companion selection")
+    eye = np.eye(n, dtype=complex)
+    return LagrangianPlane(np.cos(phi) * eye, np.sin(phi) * eye), margin
 
 
 def transversal_normalization(la: LagrangianPlane, lb: LagrangianPlane,

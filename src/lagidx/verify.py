@@ -45,7 +45,6 @@ from .planes import (
     random_plane,
     random_plane_with_mul,
     robin_matrices,
-    transversal_companion,
     vertical_plane,
 )
 from .relations import decompose, difference, inverse, reconstruct
@@ -232,7 +231,8 @@ def check_decompose_reconstruct(n, rng, tol):
 
 def check_resolvent_difference(n, rng, tol):
     l1, l2 = sample_plane(n, rng, tol), sample_plane(n, rng, tol)
-    l3 = transversal_companion([l1, l2, vertical_plane(n)], tol, rng)
+    # A graph is transversal to the vertical plane, and a generic one to l1 and l2.
+    l3 = graph_plane(random_hermitian(n, rng), tol)
     via_relations = index_via_resolvent_difference(l1, l2, l3, tol)
     direct = _iD(l1, l2, l3, tol)
     return via_relations == direct, {"via_relations": via_relations, "direct": direct}
@@ -268,7 +268,8 @@ def check_omega_kernel(n, rng, tol):
 
 def check_factorization(n, rng, tol):
     l1, l2, l3 = _sample_triple(n, rng, tol)
-    eps = epsilon_select((l1, l2, l3), tol, int(rng.integers(2 ** 31)))
+    rng.integers(2 ** 31)  # unused; kept so that seeded trials reproduce
+    eps, _, _ = epsilon_select((l1, l2, l3), tol)
     w = omega_form(l1, l2, l3)
     r1, r2, r3 = robin_matrices((l1, l2, l3), eps, tol)
     eye = np.eye(n)

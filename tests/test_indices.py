@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,6 @@ from lagidx import (
     duistermaat_reduce,
     duistermaat_relation_vertical,
     duistermaat_robin,
-    epsilon_select,
     graph_plane,
     haynsworth_check,
     hermitian_part,
@@ -104,15 +106,17 @@ def test_robin_reports_epsilons(rng):
     assert report.value == duistermaat_omega(*triple).value
 
 
-def test_robin_generator_seed(rng):
-    # A Generator seed draws both epsilons from its stream in turn.
+def test_selection_ignores_the_seed(rng):
+    # robin and reduce accept a seed and do not use it: their auxiliary
+    # epsilons and companion are closed-form, and each report carries the
+    # margin by which its selection cleared the count-rule cutoff.
     triple = tuple(random_plane(3, rng) for _ in range(3))
-    report = duistermaat_robin(*triple, seed=np.random.default_rng(5))
-    stream = np.random.default_rng(5)
-    eps1 = epsilon_select(triple, seed=stream)
-    eps2 = epsilon_select(triple, seed=stream, avoid=(eps1,))
-    assert (report.epsilon_used, report.diagnostics["epsilon_second"]) == (eps1, eps2)
-    assert report.value == duistermaat_omega(*triple).value
+    for method in ("robin", "reduce"):
+        reports = [duistermaat(*triple, method=method, seed=seed)
+                   for seed in (None, 5, np.random.default_rng(5))]
+        assert all(r == reports[0] for r in reports)
+        assert reports[0].value == duistermaat_omega(*triple).value
+        assert reports[0].diagnostics["selection_margin"] > 1
 
 
 def test_robin_forced_singular_epsilon():
@@ -129,6 +133,19 @@ def test_robin_forced_singular_epsilon():
         robin_map(graph_plane(np.diag([-2.0 * (1.0 - 1.12e-9), -1.0])), 0.5)
 
 
+def test_near_cutoff_family_at_a_wide_gap():
+    # The family builder of scripts/near_cutoff.py, far from the cutoff:
+    # A = Q diag(1e-3, -1e-3, 1) Q*, so every method must give 1.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "near_cutoff.py"
+    spec = importlib.util.spec_from_file_location("near_cutoff", script)
+    near_cutoff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(near_cutoff)
+    for seed in range(3):
+        triple = near_cutoff.near_cutoff_triple(seed, 1e-3)
+        for method in ("omega", "robin", "reduce"):
+            assert duistermaat(*triple, method=method, seed=seed).value == 1
+
+
 def test_reduce_agrees_with_omega(rng):
     for trial in range(25):
         n = 1 + trial % 4
@@ -142,12 +159,12 @@ def test_reduction_graphs_match_normalization(rng, tol):
     worst = 0.0
     for n in range(1, 7):
         triple = tuple(random_plane(n, rng) for _ in range(3))
-        graph_companion = transversal_companion(triple, tol, n)
-        # The same seed draws the same first candidate, which now fails
-        # against itself, so the swapped second candidate is returned.
-        swapped_companion = transversal_companion(triple + (graph_companion,), tol, n)
-        assert not planes_equal(graph_companion, swapped_companion, tol)
-        for l4 in (graph_companion, swapped_companion):
+        # Two distinct companions: that of the triple, and that of the
+        # triple together with the first companion.
+        first, _ = transversal_companion(triple, tol)
+        second, _ = transversal_companion(triple + (first,), tol)
+        assert not planes_equal(first, second, tol)
+        for l4 in (first, second):
             graphs = lagidx.indices._reduction_graphs(triple, l4, tol)
             for b, (a, w) in zip(graphs, ((0, 1), (0, 2), (1, 2))):
                 z = transversal_normalization(triple[a], l4, tol)
@@ -162,7 +179,7 @@ def test_reduce_failure_is_typed(rng, monkeypatch):
     # so the graph matrices come out asymmetric: the one companion fails
     # with DualBasisFailure and no value is returned.
     triple = tuple(random_plane(3, rng) for _ in range(3))
-    monkeypatch.setattr(lagidx.indices, "transversal_companion", lambda planes, tol, rng: planes[1])
+    monkeypatch.setattr(lagidx.indices, "transversal_companion", lambda planes, tol: (planes[1], 2.0))
     with pytest.raises(SelectionFailed) as info:
         duistermaat_reduce(*triple, seed=0)
     assert isinstance(info.value.__cause__, DualBasisFailure)

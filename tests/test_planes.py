@@ -11,8 +11,9 @@ from lagidx import (
     SingularEpsilon,
     ValidationError,
     apply_symplectic,
+    SelectionFailed,
+    direct_sum_planes,
     epsilon_select,
-    epsilon_small,
     graph_plane,
     horizontal_plane,
     inertia,
@@ -28,7 +29,13 @@ from lagidx import (
     vertical_plane,
 )
 from lagidx.hermitian import random_hermitian
-from lagidx.planes import principal_angles, robin_matrices, validate_frame
+from lagidx.planes import (
+    _candidate_angles,
+    pairing_matrix,
+    principal_angles,
+    robin_matrices,
+    validate_frame,
+)
 
 
 def test_graph_plane_and_canonical_form(tol):
@@ -99,7 +106,7 @@ def test_robin_hermitian_identity(rng, tol):
     # (X + eY)* R (X + eY) = X*Y + e Y*Y on the canonical frame
     for n in (1, 2, 5):
         plane = random_plane(n, rng)
-        eps = epsilon_select([plane], tol, 5)
+        eps, _, _ = epsilon_select([plane], tol)
         r = robin_map(plane, eps, tol).matrix
         t = plane.x + eps * plane.y
         lhs = t.conj().T @ r @ t
@@ -110,7 +117,7 @@ def test_robin_hermitian_identity(rng, tol):
 def test_robin_frame_independence(rng, tol):
     for n in (2, 3):
         plane = random_plane(n, rng)
-        eps = epsilon_select([plane], tol, 6)
+        eps, _, _ = epsilon_select([plane], tol)
         base = robin_map(plane, eps, tol).matrix
         c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         re_framed = plane_from_frame(plane.x @ c, plane.y @ c, tol)
@@ -132,20 +139,88 @@ def test_robin_map_refuses_an_x_plus_eps_y_of_rounding_noise(rng, tol):
 
 
 def test_epsilon_select(tol):
-    assert epsilon_select([horizontal_plane(2)], tol, 0) > 0
-    assert epsilon_select([vertical_plane(2)], tol, 0) > 0
+    top = np.arctan(1.1)
+    # Horizontal and vertical planes put no zero of X + eps Y inside
+    # (0, arctan 1.1], so the one gap gives its two quarter points.
+    for plane in (horizontal_plane(2), vertical_plane(2)):
+        eps1, eps2, margin = epsilon_select([plane], tol)
+        assert np.allclose((eps1, eps2), np.tan([top / 4, 3 * top / 4]), rtol=1e-12)
+        assert margin > 1
+    # graph(-2) has X + eps Y = 0 at eps = 1/2, phi = arctan(1/2): the gaps
+    # (0, arctan 1/2) and (arctan 1/2, arctan 1.1) are both wide enough,
+    # so the epsilons are their midpoints, the wider gap first.
+    mid = np.arctan(0.5)
+    eps1, eps2, _ = epsilon_select([graph_plane([[-2.0]])], tol)
+    assert np.allclose((eps1, eps2), np.tan([mid / 2, (mid + top) / 2]), rtol=1e-12)
     skew = plane_from_frame(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    eps = epsilon_select([skew], tol, 0)
-    assert eps > 0  # the only bad value is 0 since det(X + eY) = e
-    # determinism
-    assert epsilon_select([skew], tol, 17) == epsilon_select([skew], tol, 17)
+    eps1, eps2, _ = epsilon_select([skew], tol)
+    assert 0 < eps1 <= 1.1 and 0 < eps2 <= 1.1 and eps1 != eps2
+    assert epsilon_select([skew], tol) == epsilon_select([skew], tol)
+
+
+def test_candidate_angles_contain_the_souriau_eigenangles(rng):
+    # The candidates {a_j, pi - a_j} must contain every half-angle of the
+    # eigenvalues of (X + iY)(X - iY)^-1, taken here by np.linalg.eigvals.
+    def planes(n):
+        yield horizontal_plane(n)
+        yield vertical_plane(n)
+        for _ in range(4):
+            yield random_plane(n, rng)
+            yield random_plane_with_mul(n, int(rng.integers(0, n + 1)), rng)
+
+    for n in range(1, 7):
+        for plane in planes(n):
+            w = np.linalg.solve((plane.x - 1j * plane.y).T, (plane.x + 1j * plane.y).T).T
+            half = np.mod(np.angle(np.linalg.eigvals(w)) / 2, np.pi)
+            cand = _candidate_angles([plane], "test")[0]
+            gap = np.abs(half[:, None] - cand[None, :])
+            assert np.min(np.minimum(gap, np.pi - gap), axis=1).max() < 1e-7
+
+
+def _floor_triples(rng):
+    """Generic, multivalued, shared-factor and exact structured triples."""
+    for n in range(1, 7):
+        for _ in range(5):
+            yield tuple(random_plane(n, rng) for _ in range(3))
+            yield tuple(random_plane_with_mul(n, int(rng.integers(0, n + 1)), rng) for _ in range(3))
+            if n > 1:
+                k = int(rng.integers(1, n))
+                shared = random_plane(k, rng)
+                yield (direct_sum_planes(shared, random_plane(n - k, rng)),
+                       direct_sum_planes(shared, random_plane(n - k, rng)), random_plane(n, rng))
+        h, v, g = horizontal_plane(n), vertical_plane(n), graph_plane(-2.0 * np.eye(n))
+        yield h, g, v
+        yield h, h, h
+        yield v, v, g
+        yield g, g, h
+        if n > 1:
+            h1, v1 = horizontal_plane(1), vertical_plane(1)
+            yield (direct_sum_planes(h1, vertical_plane(n - 1)),
+                   direct_sum_planes(v1, horizontal_plane(n - 1)),
+                   direct_sum_planes(h1, graph_plane(-np.eye(n - 1))))
+
+
+def test_selection_floors(rng, tol):
+    # Both choices keep a guaranteed distance from every zero: every
+    # X + eps Y has sigma_min >= sin(arctan(1.1) / (4(6n + 1))), and every
+    # companion pairing sigma_min >= sin(pi / (12n)).
+    for triple in _floor_triples(rng):
+        n = triple[0].n
+        eps1, eps2, _ = epsilon_select(triple, tol)
+        robin_floor = np.sin(np.arctan(1.1) / (4 * (6 * n + 1)))
+        for eps in (eps1, eps2):
+            assert 0 < eps <= 1.1
+            for p in triple:
+                assert np.linalg.svd(p.x + eps * p.y, compute_uv=False)[-1] >= robin_floor - 1e-12
+        l4, _ = transversal_companion(triple, tol)
+        for p in triple:
+            assert np.linalg.svd(pairing_matrix(l4, p), compute_uv=False)[-1] >= np.sin(np.pi / (12 * n)) - 1e-12
 
 
 def test_robin_matrices_pair_matches_single_epsilons(rng, tol):
     for n in (1, 3, 6):
         planes = [random_plane(n, rng) for _ in range(3)]
-        e1 = epsilon_select(planes, tol, n)
-        e2 = epsilon_select(planes, tol, n + 1, avoid=(e1,))
+        e1, e2, _ = epsilon_select(planes, tol)
         pair = robin_matrices(planes, (e1, e2), tol)
         assert pair.shape == (2, 3, n, n)
         assert np.array_equal(pair[0], robin_matrices(planes, e1, tol))
@@ -160,15 +235,6 @@ def test_robin_matrices_pair_matches_single_epsilons(rng, tol):
     with pytest.raises(SingularEpsilon) as pair:
         robin_matrices(broken, (0.5, 0.25), tol)
     assert str(pair.value) == str(single.value)
-
-
-def test_epsilon_small_positivity(rng, tol):
-    for n in (1, 2, 3):
-        planes = [random_plane(n, rng), random_plane_with_mul(n, 1, rng)]
-        eps = epsilon_small(planes, tol)
-        for p in planes:
-            r = robin_map(p, eps, tol).matrix
-            assert inertia(np.eye(n) / eps - r, tol).n_minus == 0
 
 
 def test_random_plane_reproducible(tol):
@@ -186,15 +252,18 @@ def test_random_plane_with_mul(rng):
 
 
 def test_transversal_companion(tol):
-    g0 = horizontal_plane(2)
-    comp = transversal_companion([g0], tol, 1)
-    assert intersection_dim(comp, g0) == 0
-    comp = transversal_companion([horizontal_plane(1), vertical_plane(1)], tol, 2)
-    assert intersection_dim(comp, horizontal_plane(1)) == 0
-    assert intersection_dim(comp, vertical_plane(1)) == 0
+    # The candidate angles of the horizontal plane all sit at 0 (mod pi),
+    # so the widest gap is the whole circle and the companion is vertical.
+    comp, margin = transversal_companion([horizontal_plane(2)], tol)
+    assert planes_equal(comp, vertical_plane(2))
+    assert margin > 1
+    # Angles 0 and pi/2: the first widest gap gives phi = pi/4, graph(1).
+    comp, _ = transversal_companion([horizontal_plane(1), vertical_plane(1)], tol)
+    assert planes_equal(comp, graph_plane([[1.0]]))
     planes = [random_plane(3, s) for s in (10, 11, 12)]
-    comp = transversal_companion(planes, tol, 3)
+    comp, _ = transversal_companion(planes, tol)
     assert all(intersection_dim(comp, p) == 0 for p in planes)
+    assert transversal_companion(planes, tol)[0].stacked.tobytes() == comp.stacked.tobytes()
 
 
 def test_graph_plane_validates_its_matrix():
@@ -207,23 +276,31 @@ def test_graph_plane_validates_its_matrix():
 
 
 def test_companion_frames_are_valid(rng, tol):
-    # A loose count rule rejects many candidates, so both graph and
-    # swapped-graph candidates come back; their frames are built without
-    # validation and must pass it.
+    # Under a loose count rule the floor sin(pi / (12n)) can fall below the
+    # cutoff: the companion is then refused with a typed error, and never
+    # returned when it is not transversal.  A returned frame is built
+    # without validation and must pass it.
     loose = TolerancePolicy(rank_rel_tol=0.3)
+    refused = 0
     for trial in range(40):
         n = 1 + trial % 5
         planes = [random_plane(n, rng) for _ in range(3)]
-        comp = transversal_companion(planes, loose, rng)
+        try:
+            comp, margin = transversal_companion(planes, loose)
+        except SelectionFailed:
+            refused += 1
+            continue
+        assert margin > 1
         validate_frame(comp.x, comp.y, tol)
         assert np.allclose(comp.stacked.conj().T @ comp.stacked, np.eye(n), atol=1e-12)
         assert all(intersection_dim(comp, p, loose) == 0 for p in planes)
+    assert 0 < refused < 40
 
 
 def test_transversal_normalization_sends_pair_to_axes(rng, tol):
     for n in (1, 2, 4):
         la = random_plane(n, rng)
-        lb = transversal_companion([la], tol, rng)
+        lb, _ = transversal_companion([la], tol)
         z = transversal_normalization(la, lb, tol)
         s = np.linalg.inv(z)
         assert planes_equal(apply_symplectic(s, la, tol), horizontal_plane(n))
