@@ -133,6 +133,13 @@ def cutoff_for(values: np.ndarray, tol: TolerancePolicy):
     return _cutoff(np.max(np.abs(values), axis=-1, initial=0.0), tol)
 
 
+def cutoff_margin(values: np.ndarray, tol: TolerancePolicy) -> float:
+    """The smallest ratio of a set's least value to the set's cutoff, over
+    a stack of sets of nonnegative values along the last axis.  It exceeds
+    1 exactly when the count rule counts every value of every set."""
+    return float((values.min(axis=-1) / _cutoff(values.max(axis=-1), tol)).min())
+
+
 def count_above_cutoff(values: np.ndarray, tol: TolerancePolicy):
     """The count rule: how many values exceed the cutoff of their set.
 

@@ -9,6 +9,7 @@ canonical frame so that frame-dependent quantities are well defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .hermitian import (
     as_hermitian,
     checked_hermitian_part,
     count_above_cutoff,
-    cutoff_for,
+    cutoff_margin,
     hermitian_part,
     random_hermitian,
     rank,
@@ -216,7 +217,8 @@ def _candidate_angles(planes, what: str) -> np.ndarray:
     both.
     """
     xs = np.stack([p.x for p in _same_dimension(planes, what)])
-    a = np.arccos(np.sqrt(np.clip(np.linalg.eigvalsh(xs.conj().swapaxes(-1, -2) @ xs), 0.0, 1.0)))
+    cos2 = np.linalg.eigvalsh(xs.conj().swapaxes(-1, -2) @ xs)
+    a = np.arccos(np.minimum(np.sqrt(np.maximum(cos2, 0.0)), 1.0))
     return np.concatenate([a, np.pi - a], axis=-1)
 
 
@@ -229,7 +231,7 @@ def _selection_margin(values: np.ndarray, tol: TolerancePolicy, what: str) -> fl
     true ones, so their least value is at most the true smallest singular
     value and their largest at least the true largest: a set that passes
     is a matrix of full count-rule rank."""
-    margin = float(np.min(values.min(axis=-1) / cutoff_for(values, tol)))
+    margin = cutoff_margin(values, tol)
     if not margin > 1.0:
         raise SelectionFailed(f"{what}: closed-form margin {margin:.3g} does not clear the count-rule cutoff")
     return margin
@@ -254,15 +256,15 @@ def epsilon_select(planes, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, f
     a margin of at most 1 raises SelectionFailed.  No draw, SVD or retry.
     """
     theta = _candidate_angles(planes, "epsilon_select")
-    zeros = np.mod(theta + np.pi / 2, np.pi).ravel()
-    ends = np.concatenate([[0.0], np.sort(zeros[(zeros > 0.0) & (zeros < _ROBIN_PHI_MAX)]),
-                           [_ROBIN_PHI_MAX]])
-    gaps = np.diff(ends)
-    order = np.argsort(-gaps, kind="stable")
-    if gaps.size > 1 and 2.0 * gaps[order[1]] >= gaps[order[0]]:
-        phi = ends[order[:2]] + gaps[order[:2]] / 2
+    # At most 2n zeros per plane: plain floats beat numpy calls at small n.
+    zeros = np.mod(theta + np.pi / 2, np.pi).ravel().tolist()
+    ends = [0.0, *sorted(z for z in zeros if 0.0 < z < _ROBIN_PHI_MAX), _ROBIN_PHI_MAX]
+    gaps = sorted(((b - a, a) for a, b in zip(ends, ends[1:])), key=lambda gap: -gap[0])
+    (w1, a1), (w2, a2) = gaps[0], (gaps[1:] or [(0.0, 0.0)])[0]
+    if 2.0 * w2 >= w1:
+        phi = np.array([a1 + w1 / 2, a2 + w2 / 2])
     else:
-        phi = ends[order[0]] + gaps[order[0]] * np.array([0.25, 0.75])
+        phi = np.array([a1 + w1 * 0.25, a1 + w1 * 0.75])
     values = np.abs(np.cos(theta - phi[:, None, None])) / np.cos(phi)[:, None, None]
     margin = _selection_margin(values, tol, "epsilon selection")
     eps1, eps2 = np.tan(phi).tolist()
@@ -360,11 +362,10 @@ def transversal_companion(planes, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[L
     """
     theta = _candidate_angles(planes, "transversal_companion")
     n = theta.shape[-1] // 2
-    a = np.sort(theta[..., :n].ravel())
-    ends = np.concatenate([[-a[0]], a, [np.pi - a[-1]]])
-    gaps = np.diff(ends)
-    k = int(np.argmax(gaps))
-    phi = float(ends[k] + gaps[k] / 2)
+    a = sorted(theta[..., :n].ravel().tolist())
+    ends = [-a[0], *a, math.pi - a[-1]]
+    width, low = max(((b - c, c) for c, b in zip(ends, ends[1:])), key=lambda gap: gap[0])
+    phi = low + width / 2
     margin = _selection_margin(np.abs(np.sin(theta - phi)), tol, "companion selection")
     eye = np.eye(n, dtype=complex)
     return LagrangianPlane(np.cos(phi) * eye, np.sin(phi) * eye), margin
