@@ -299,8 +299,8 @@ def robin_matrices(planes, epsilon, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
     A sequence of m epsilons gives an (m, k, n, n) stack from the same one
     inverse and one asymmetry check, bit for bit the stacks of the single
     epsilons.  Each epsilon must come from :func:`epsilon_select` for these
-    planes, which has already checked the count-rule rank of the same
-    X + eps Y; any other epsilon goes through
+    planes, which has already decided the count-rule rank of the same
+    X + eps Y in closed form; any other epsilon goes through
     :func:`checked_robin_matrices`.  An asymmetric map raises
     SingularEpsilon, naming the first epsilon that gave one."""
     xs, ys = _stacked_frames(planes, "robin_matrices")

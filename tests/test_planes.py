@@ -8,10 +8,10 @@ from lagidx import (
     NotLagrangian,
     TolerancePolicy,
     LagrangianPlane,
+    SelectionFailed,
     SingularEpsilon,
     ValidationError,
     apply_symplectic,
-    SelectionFailed,
     direct_sum_planes,
     epsilon_select,
     graph_plane,
