@@ -38,11 +38,17 @@ METHOD_FLAGS = {"robin": "robin", "omega": "omega", "reduce": "reduce", "closed-
 
 
 def _tolerance_from(args) -> TolerancePolicy:
-    given = {
-        "rank_rel_tol": os.environ.get("LAGIDX_TOL_RANK") if args.tol_rank is None else args.tol_rank,
-        "residual_tol": os.environ.get("LAGIDX_TOL_RESIDUAL") if args.tol_residual is None else args.tol_residual,
-    }
-    return TolerancePolicy(**{name: float(v) for name, v in given.items() if v is not None})
+    given = {}
+    for name, flag, variable in (("rank_rel_tol", args.tol_rank, "LAGIDX_TOL_RANK"),
+                                 ("residual_tol", args.tol_residual, "LAGIDX_TOL_RESIDUAL")):
+        if flag is not None:
+            given[name] = flag
+        elif (text := os.environ.get(variable)) is not None:
+            try:
+                given[name] = float(text)
+            except ValueError:
+                raise ValidationError(f"{variable} must be a number, got {text!r}") from None
+    return TolerancePolicy(**given)
 
 
 def _add_common(parser):
@@ -66,7 +72,7 @@ def _cmd_index(args) -> int:
     document = doc.load(args.input, tol)
     planes = [document.plane(name) for name in args.planes]
     method = METHOD_FLAGS[args.method]
-    report = duistermaat(*planes, tol=tol, method=method, seed=args.seed, epsilon=args.eps)
+    report = duistermaat(*planes, tol=tol, method=method, epsilon=args.eps)
     payload = {
         "value": report.value,
         "method": report.method,
@@ -81,7 +87,7 @@ def _cmd_index(args) -> int:
             if key == method:
                 continue
             try:
-                others[name] = duistermaat(*planes, tol=tol, method=key, seed=args.seed).value
+                others[name] = duistermaat(*planes, tol=tol, method=key).value
             except ValidationError:
                 others[name] = None  # closed form does not apply to non-graph planes
         payload["cross_check"] = others
@@ -219,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--planes", nargs=3, required=True, metavar=("L1", "L2", "L3"))
     p_index.add_argument("--method", choices=sorted(METHOD_FLAGS), default="omega")
     p_index.add_argument("--eps", type=float, default=None, help="force the Robin-map epsilon")
-    p_index.add_argument("--seed", type=_seed, default=0)
     p_index.add_argument("--cross-check", action="store_true",
                          help="run every method and compare")
     _add_common(p_index)

@@ -3,7 +3,8 @@
 A document is a JSON text with a schema version and a mapping of unique
 names to typed objects (hermitian, frame, plane, symplectic, path).
 Complex scalars are stored as two-element [re, im] arrays, so the format
-is diffable and language neutral.  Loading validates every entry; saving
+is diffable and language neutral.  Loading validates and builds every
+entry once, and the accessors return the built objects; saving
 re-serializes the raw structure, so documents produced by this module
 round-trip bit for bit.
 """
@@ -46,11 +47,15 @@ def decode_matrix(data, what: str = "matrix") -> np.ndarray:
 
 
 class Document:
-    """Parsed interchange document with typed accessors."""
+    """Parsed interchange document with typed accessors.
+
+    Every entry is decoded, validated and built once, at load; the
+    accessors check the name and the type and return the built object."""
 
     def __init__(self, raw: dict, tol: TolerancePolicy = DEFAULT_TOL):
         self.raw = raw
         self.tol = tol
+        self._built = {}
         self._validate()
 
     @property
@@ -74,54 +79,47 @@ class Document:
                 raise ValidationError(f"object {name!r} must be a JSON object")
             if entry.get("type") not in OBJECT_TYPES:
                 raise ValidationError(f"object {name!r} has unknown type {entry.get('type')!r}")
-            self._build(name)
+            self._built[name] = self._build(name, entry)
 
-    def _entry(self, name: str, expect: str) -> dict:
+    def _get(self, name: str, expect: str):
         if name not in self.objects:
             raise ValidationError(f"document has no object named {name!r}")
-        entry = self.objects[name]
-        if entry["type"] != expect:
-            raise ValidationError(f"object {name!r} has type {entry['type']!r}, expected {expect!r}")
-        return entry
+        kind = self.objects[name]["type"]
+        if kind != expect:
+            raise ValidationError(f"object {name!r} has type {kind!r}, expected {expect!r}")
+        return self._built[name]
 
-    def _build(self, name: str):
-        entry = self.objects[name]
+    def _build(self, name: str, entry: dict):
         kind = entry["type"]
         if kind == "hermitian":
-            return self.hermitian(name)
-        if kind == "frame":
-            return self.frame(name)
-        if kind == "plane":
-            return self.plane(name)
+            return as_hermitian(decode_matrix(entry.get("entries"), name), self.tol, name)
+        if kind in ("frame", "plane"):
+            x = decode_matrix(entry.get("x"), f"{name}.x")
+            y = decode_matrix(entry.get("y"), f"{name}.y")
+            return validate_frame(x, y, self.tol) if kind == "frame" else plane_from_frame(x, y, self.tol)
         if kind == "symplectic":
-            return self.symplectic(name)
-        return self.path(name)
+            m = decode_matrix(entry.get("matrix"), name)
+            if not is_symplectic(m, self.tol):
+                raise ValidationError(f"object {name!r} is not symplectic at the working tolerance")
+            return m
+        return self._path(name, entry)
 
     def hermitian(self, name: str) -> np.ndarray:
-        entry = self._entry(name, "hermitian")
-        return as_hermitian(decode_matrix(entry.get("entries"), name), self.tol, name)
+        return self._get(name, "hermitian")
 
     def frame(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        entry = self._entry(name, "frame")
-        x = decode_matrix(entry.get("x"), f"{name}.x")
-        y = decode_matrix(entry.get("y"), f"{name}.y")
-        return validate_frame(x, y, self.tol)
+        return self._get(name, "frame")
 
     def plane(self, name: str) -> LagrangianPlane:
-        entry = self._entry(name, "plane")
-        x = decode_matrix(entry.get("x"), f"{name}.x")
-        y = decode_matrix(entry.get("y"), f"{name}.y")
-        return plane_from_frame(x, y, self.tol)
+        return self._get(name, "plane")
 
     def symplectic(self, name: str) -> np.ndarray:
-        entry = self._entry(name, "symplectic")
-        m = decode_matrix(entry.get("matrix"), name)
-        if not is_symplectic(m, self.tol):
-            raise ValidationError(f"object {name!r} is not symplectic at the working tolerance")
-        return m
+        return self._get(name, "symplectic")
 
     def path(self, name: str):
-        entry = self._entry(name, "path")
+        return self._get(name, "path")
+
+    def _path(self, name: str, entry: dict):
         kind = entry.get("kind")
         if kind == "graph_segment":
             return graph_segment(decode_matrix(entry.get("a"), f"{name}.a"),

@@ -5,14 +5,17 @@ the count rule: a value counts as nonzero when it exceeds
 ``rank_rel_tol * max(1, scale)``, ``scale`` being the largest absolute
 value in its set.  The floor of 1 makes the zero matrix behave sensibly
 and keeps both sides of integer identities on one footing.  A square
-matrix is invertible exactly when its count-rule rank is full.
+matrix is invertible exactly when its count-rule rank is full.  Two
+functions apply the rule: ``_count`` to the eigenvalues of one Hermitian
+matrix and ``count_above_cutoff`` to singular values.
 
 The rule also takes a stack of matrices (or of value sets) along the
 leading axes and decides each one with its own cutoff, exactly as for a
 single matrix; one call then replaces a loop of small LAPACK calls.
 
-:func:`inertia` validates its input; :func:`trusted_inertia` serves
-matrices the library builds exactly Hermitian itself.  In the same way
+:func:`inertia` validates its input; :func:`trusted_inertia` and
+:func:`trusted_eigh` serve matrices the library builds exactly Hermitian
+itself, or validated once at a public entry point.  In the same way
 ``planes.trusted_plane`` only orthonormalizes frames that are Lagrangian
 and injective by construction.
 """
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigendecompositionError, NotHermitian, NotInvertible, ValidationError
+from .errors import EigendecompositionError, NotHermitian, ValidationError
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,8 @@ def _cutoff(scale, tol: TolerancePolicy):
 
 def cutoff_for(values: np.ndarray, tol: TolerancePolicy):
     """Zero cutoff of a set of eigen- or singular values; for a stack of
-    sets along the last axis, one cutoff per set."""
+    sets along the last axis, one cutoff per set.  It decides nothing: the
+    callable-path grid scales its trigger by it."""
     return _cutoff(np.max(np.abs(values), axis=-1, initial=0.0), tol)
 
 
@@ -154,11 +158,16 @@ def count_above_cutoff(values: np.ndarray, tol: TolerancePolicy):
     return int(np.count_nonzero(values > tol.rank_rel_tol * max(values[0], 1.0)))
 
 
-def eigh_or_raise(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionError(f"eigh failed for matrix {matrix_hash(h)}") from exc
+def _count(v: list[float], tol: TolerancePolicy) -> Inertia:
+    """The count rule on the eigenvalues of one matrix, given as an
+    ascending list of plain floats; the only place an eigenvalue meets the
+    cutoff.  The largest absolute value sits at one of the two ends, and
+    each sign count is one binary search.  At n <= 6 that beats
+    comparisons over a numpy array, whose cost is per-call overhead."""
+    n = len(v)
+    cut = tol.rank_rel_tol * max(1.0, -v[0], v[-1]) if n else 0.0
+    n_minus, n_plus = bisect_left(v, -cut), n - bisect_right(v, cut)
+    return Inertia(n_minus, n - n_minus - n_plus, n_plus)
 
 
 def trusted_inertia(h: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL):
@@ -167,24 +176,60 @@ def trusted_inertia(h: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL):
     ``as_hermitian`` or the omega form, and their sums and differences.
 
     A stack of shape (k, n, n) takes one ``eigvalsh`` call and gives a
-    list of k inertias, each with the cutoff of its own matrix.  The
-    eigenvalues of each matrix come in ascending order, so the largest
-    absolute value sits at one of the two ends, and each sign count is one
-    binary search over plain floats.  At n <= 6 that beats comparisons
-    over the numpy stack, whose cost is per-call overhead."""
+    list of k inertias, each with the cutoff of its own matrix."""
     try:
         w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(f"eigvalsh failed for matrix {matrix_hash(h)}") from exc
     if not np.isfinite(w).all():
         raise ValidationError(f"matrix {matrix_hash(h)} has non-finite eigenvalues")
-    n = w.shape[-1]
-    counts = []
-    for v in (w.tolist() if w.ndim > 1 else [w.tolist()]):
-        cut = tol.rank_rel_tol * max(1.0, -v[0], v[-1]) if n else 0.0
-        n_minus, n_plus = bisect_left(v, -cut), n - bisect_right(v, cut)
-        counts.append(Inertia(n_minus, n - n_minus - n_plus, n_plus))
-    return counts if w.ndim > 1 else counts[0]
+    if w.ndim > 1:
+        return [_count(v, tol) for v in w.tolist()]
+    return _count(w.tolist(), tol)
+
+
+@dataclass(frozen=True)
+class Eigensystem:
+    """One ``eigh`` of a Hermitian matrix and the count-rule inertia of its
+    eigenvalues.  The values ascend, so the kernel is the block of columns
+    n_minus ... n_minus + n_zero - 1 and the range is every other column."""
+
+    inertia: Inertia
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def kernel(self) -> np.ndarray:
+        """Orthonormal basis of the numerical kernel, one column per dimension."""
+        lo = self.inertia.n_minus
+        return self.vectors[:, lo:lo + self.inertia.n_zero]
+
+    def _range(self) -> tuple[np.ndarray, np.ndarray]:
+        lo = self.inertia.n_minus
+        kernel = np.s_[lo:lo + self.inertia.n_zero]
+        return np.delete(self.values, kernel), np.delete(self.vectors, kernel, axis=1)
+
+    def range_projector(self) -> np.ndarray:
+        """Orthogonal projector onto the range."""
+        _, vr = self._range()
+        return hermitian_part(vr @ vr.conj().T)
+
+    def pseudoinverse(self) -> np.ndarray:
+        """Moore-Penrose pseudoinverse; the inverse when n_zero is 0."""
+        wr, vr = self._range()
+        return hermitian_part((vr * (1.0 / wr)) @ vr.conj().T)
+
+
+def trusted_eigh(h: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Eigensystem:
+    """Eigendecomposition without input validation, for one matrix that is
+    exactly Hermitian (see :func:`trusted_inertia`); its inertia, kernel,
+    range and pseudoinverse are all read from this one ``eigh``."""
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigendecompositionError(f"eigh failed for matrix {matrix_hash(h)}") from exc
+    if not np.isfinite(w).all():
+        raise ValidationError(f"matrix {matrix_hash(h)} has non-finite eigenvalues")
+    return Eigensystem(_count(w.tolist(), tol), w, v)
 
 
 def inertia(h, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
@@ -225,28 +270,12 @@ def kernel_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
 def pseudoinverse(h, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a Hermitian matrix via eigendecomposition."""
-    m = as_hermitian(h, tol)
-    w, v = eigh_or_raise(m)
-    cut = cutoff_for(w, tol)
-    inv = np.where(np.abs(w) > cut, 1.0 / np.where(np.abs(w) > cut, w, 1.0), 0.0)
-    return hermitian_part((v * inv) @ v.conj().T)
+    return trusted_eigh(as_hermitian(h, tol), tol).pseudoinverse()
 
 
 def range_projector(h, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the range of a Hermitian matrix."""
-    m = as_hermitian(h, tol)
-    w, v = eigh_or_raise(m)
-    keep = np.abs(w) > cutoff_for(w, tol)
-    vr = v[:, keep]
-    return hermitian_part(vr @ vr.conj().T)
-
-
-def inverse_or_raise(h, tol: TolerancePolicy = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
-    """Inverse of a Hermitian matrix, rejecting numerically singular input."""
-    m = as_hermitian(h, tol)
-    if trusted_inertia(m, tol).n_zero:
-        raise NotInvertible(f"{what} has a numerical kernel")
-    return np.linalg.inv(m)
+    return trusted_eigh(as_hermitian(h, tol), tol).range_projector()
 
 
 def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

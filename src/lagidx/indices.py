@@ -27,6 +27,7 @@ from .errors import (
     DualBasisFailure,
     EpsilonDisagreement,
     InclusionViolated,
+    NotInvertible,
     SelectionFailed,
     ToleranceBreakdown,
     TransversalityViolated,
@@ -34,15 +35,12 @@ from .errors import (
 )
 from .hermitian import (
     DEFAULT_TOL,
+    Eigensystem,
     TolerancePolicy,
     as_hermitian,
     checked_hermitian_part,
     hermitian_part,
-    inertia,
-    inverse_or_raise,
-    kernel_basis,
-    pseudoinverse,
-    range_projector,
+    trusted_eigh,
     trusted_inertia,
 )
 from .planes import (
@@ -55,7 +53,7 @@ from .planes import (
     transversal_companion,
     vertical_plane,
 )
-from .relations import compress, decompose, difference, inverse
+from .relations import decompose, difference, inverse
 
 
 @dataclass(frozen=True)
@@ -273,7 +271,8 @@ def duistermaat_relation_vertical(a, plane: LagrangianPlane, order: str,
     if am.shape[0] != plane.n:
         raise ValidationError("matrix dimension does not match the plane")
     parts = decompose(plane, tol)
-    a_dom = compress(am, parts.dom_projector, tol)
+    p = parts.dom_projector
+    a_dom = hermitian_part(p @ am @ p)
     if order == "graph_first":
         return trusted_inertia(parts.operator_part - a_dom, tol).n_minus
     if order == "plane_first":
@@ -281,32 +280,54 @@ def duistermaat_relation_vertical(a, plane: LagrangianPlane, order: str,
     raise ValidationError(f"order must be 'graph_first' or 'plane_first', got {order!r}")
 
 
+def _hermitian_pair(a, b, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """The one validation of the two inputs of a Morse formula; every
+    matrix built from them afterwards is trusted."""
+    am = as_hermitian(a, tol)
+    bm = as_hermitian(b, tol)
+    if am.shape != bm.shape:
+        raise ValidationError(f"A and B must share one shape, got {am.shape} and {bm.shape}")
+    return am, bm
+
+
+def _invertible_pair(a, b, tol: TolerancePolicy):
+    """Validated A and B with one ``eigh`` each: (A, B, A^-1, B^-1, In(A),
+    In(B)).  Each inverse is the pseudoinverse of a matrix with no
+    numerical kernel."""
+    am, bm = _hermitian_pair(a, b, tol)
+    systems = []
+    for m, what in ((am, "A"), (bm, "B")):
+        e = trusted_eigh(m, tol)
+        if e.inertia.n_zero:
+            raise NotInvertible(f"{what} has a numerical kernel")
+        systems.append(e)
+    ea, eb = systems
+    return am, bm, ea.pseudoinverse(), eb.pseudoinverse(), ea.inertia, eb.inertia
+
+
 def morse_difference_invertible(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationRecord:
     """Check n_-(A-B) - n_-(B^-1 - A^-1) = n_-(A) - n_-(B) for invertible
     Hermitian A, B."""
-    am = as_hermitian(a, tol)
-    bm = as_hermitian(b, tol)
-    ai = inverse_or_raise(am, tol, "A")
-    bi = inverse_or_raise(bm, tol, "B")
-    n_ab = inertia(am - bm, tol).n_minus
-    n_inv = inertia(bi - ai, tol).n_minus
-    na, nb = inertia(am, tol).n_minus, inertia(bm, tol).n_minus
+    am, bm, ai, bi, ia, ib = _invertible_pair(a, b, tol)
+    n_ab = trusted_inertia(am - bm, tol).n_minus
+    n_inv = trusted_inertia(bi - ai, tol).n_minus
+    na, nb = ia.n_minus, ib.n_minus
     return VerificationRecord(
         "morse_difference_invertible", n_ab - n_inv == na - nb, n_ab - n_inv, na - nb,
         {"n_minus_A": na, "n_minus_B": nb, "n_minus_diff": n_ab, "n_minus_inverse_diff": n_inv})
 
 
-def _require_kernel_inclusion(small, big, tol: TolerancePolicy, label: str) -> None:
-    """ker(small) ⊆ ker(big), verified through both kernel-basis residuals
-    and projector containment."""
-    k_small = kernel_basis(small, tol)
+def _require_kernel_inclusion(small: Eigensystem, big_m: np.ndarray, big: Eigensystem,
+                              tol: TolerancePolicy, label: str) -> None:
+    """ker(small) ⊆ ker(big), verified through both the kernel-vector
+    residual and projector containment, read from the two eigensystems."""
+    k_small = small.kernel()
     if k_small.shape[1]:
-        resid = np.linalg.norm(big @ k_small)
-        if resid > tol.residual_tol * max(1.0, np.linalg.norm(big)):
+        resid = np.linalg.norm(big_m @ k_small)
+        if resid > tol.residual_tol * max(1.0, np.linalg.norm(big_m)):
             raise InclusionViolated(f"{label}: kernel vectors leak, residual {resid:.3e}")
-    p_small = range_projector(small, tol)
-    p_big = range_projector(big, tol)
-    if np.linalg.norm(p_small @ p_big - p_big) > tol.residual_tol:
+    p_big = big.range_projector()
+    if np.linalg.norm(small.range_projector() @ p_big - p_big) > tol.residual_tol:
         raise InclusionViolated(f"{label}: range containment fails")
 
 
@@ -317,20 +338,21 @@ def morse_difference_kernel(a, b, case: str, tol: TolerancePolicy = DEFAULT_TOL)
     ``kerB_in_kerA``: n_-(A-B) = n_-(A) - n_-(B) + n_-(P_A B^+ P_A - A^+)
     + n_0(A) - n_0(B).
     """
-    am = as_hermitian(a, tol)
-    bm = as_hermitian(b, tol)
-    lhs = inertia(am - bm, tol).n_minus
-    ia, ib = inertia(am, tol), inertia(bm, tol)
+    am, bm = _hermitian_pair(a, b, tol)
+    lhs = trusted_inertia(am - bm, tol).n_minus
+    ea, eb = trusted_eigh(am, tol), trusted_eigh(bm, tol)
+    ia, ib = ea.inertia, eb.inertia
     if case == "kerA_in_kerB":
-        _require_kernel_inclusion(am, bm, tol, "ker A inside ker B")
-        correction = inertia(pseudoinverse(bm, tol)
-                             - compress(pseudoinverse(am, tol), range_projector(bm, tol), tol),
-                             tol).n_minus
+        _require_kernel_inclusion(ea, bm, eb, tol, "ker A inside ker B")
+        p = eb.range_projector()
+        correction = trusted_inertia(eb.pseudoinverse() - hermitian_part(p @ ea.pseudoinverse() @ p),
+                                     tol).n_minus
         rhs = ia.n_minus - ib.n_minus + correction
     elif case == "kerB_in_kerA":
-        _require_kernel_inclusion(bm, am, tol, "ker B inside ker A")
-        correction = inertia(compress(pseudoinverse(bm, tol), range_projector(am, tol), tol)
-                             - pseudoinverse(am, tol), tol).n_minus
+        _require_kernel_inclusion(eb, am, ea, tol, "ker B inside ker A")
+        p = ea.range_projector()
+        correction = trusted_inertia(hermitian_part(p @ eb.pseudoinverse() @ p) - ea.pseudoinverse(),
+                                     tol).n_minus
         rhs = ia.n_minus - ib.n_minus + correction + ia.n_zero - ib.n_zero
     else:
         raise ValidationError(f"case must be 'kerA_in_kerB' or 'kerB_in_kerA', got {case!r}")
@@ -341,14 +363,11 @@ def morse_difference_kernel(a, b, case: str, tol: TolerancePolicy = DEFAULT_TOL)
 
 def morse_sum_invertible(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationRecord:
     """Check n_-(A+B) + n_0(A+B) + n_-(A^-1 + B^-1) = n_-(A) + n_-(B)."""
-    am = as_hermitian(a, tol)
-    bm = as_hermitian(b, tol)
-    ai = inverse_or_raise(am, tol, "A")
-    bi = inverse_or_raise(bm, tol, "B")
-    i_sum = inertia(am + bm, tol)
-    n_inv = inertia(ai + bi, tol).n_minus
+    am, bm, ai, bi, ia, ib = _invertible_pair(a, b, tol)
+    i_sum = trusted_inertia(am + bm, tol)
+    n_inv = trusted_inertia(ai + bi, tol).n_minus
     lhs = i_sum.n_minus + i_sum.n_zero + n_inv
-    rhs = inertia(am, tol).n_minus + inertia(bm, tol).n_minus
+    rhs = ia.n_minus + ib.n_minus
     return VerificationRecord(
         "morse_sum_invertible", lhs == rhs, lhs, rhs,
         {"inertia_sum": i_sum.as_tuple(), "n_minus_inverse_sum": n_inv})
@@ -375,20 +394,18 @@ def index_via_resolvent_difference(l1: LagrangianPlane, l2: LagrangianPlane, l3:
 def haynsworth_check(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationRecord:
     """Inertia additivity of the block matrix [[A, I], [I, B^-1]] expanded
     along either diagonal block; the two expansions together recover the
-    invertible Morse difference identity."""
-    am = as_hermitian(a, tol)
-    bm = as_hermitian(b, tol)
-    ai = inverse_or_raise(am, tol, "A")
-    bi = inverse_or_raise(bm, tol, "B")
+    invertible Morse difference identity.  In(B^-1) takes its own
+    ``eigvalsh`` rather than In(B), so the expansions stay independent."""
+    am, bm, ai, bi, ia, _ = _invertible_pair(a, b, tol)
     n = am.shape[0]
     h = np.zeros((2 * n, 2 * n), dtype=complex)
     h[:n, :n] = am
     h[:n, n:] = np.eye(n)
     h[n:, :n] = np.eye(n)
     h[n:, n:] = bi
-    direct = inertia(h, tol).n_minus
-    via_a = inertia(am, tol).n_minus + inertia(bi - ai, tol).n_minus
-    via_d = inertia(bi, tol).n_minus + inertia(am - bm, tol).n_minus
+    direct = trusted_inertia(h, tol).n_minus
+    via_a = ia.n_minus + trusted_inertia(bi - ai, tol).n_minus
+    via_d = trusted_inertia(bi, tol).n_minus + trusted_inertia(am - bm, tol).n_minus
     holds = direct == via_a == via_d
     return VerificationRecord(
         "haynsworth_double_expansion", holds, via_a, via_d,

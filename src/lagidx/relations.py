@@ -99,6 +99,8 @@ def compress(a, p, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Compression P A P of a Hermitian matrix to the range of a projector."""
     am = as_hermitian(a, tol, "matrix to compress")
     pm = as_hermitian(p, tol, "projector")
+    if am.shape != pm.shape:
+        raise ValidationError(f"matrix of shape {am.shape} and projector of shape {pm.shape} differ")
     if np.linalg.norm(pm @ pm - pm) > tol.residual_tol * max(1.0, np.linalg.norm(pm)):
         raise ValidationError("compression requires an orthogonal projector")
     return hermitian_part(pm @ am @ pm)

@@ -10,6 +10,7 @@ import lagidx
 from lagidx import ValidationError, graph_plane, horizontal_plane, planes_equal, vertical_plane
 from lagidx import document as doc
 from lagidx.cli import main
+from lagidx.planes import validate_frame
 
 
 @pytest.fixture
@@ -92,6 +93,31 @@ def test_document_accessors(sample_doc, tol):
         d.plane("missing")
     with pytest.raises(ValidationError):
         d.plane("A")  # wrong type
+
+
+def test_document_builds_each_object_once(sample_doc, monkeypatch):
+    # Load validates and builds every entry; the accessors return those
+    # objects and do not validate again.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return validate_frame(*args, **kwargs)
+
+    monkeypatch.setattr(lagidx.planes, "validate_frame", counted)
+    monkeypatch.setattr(doc, "validate_frame", counted)
+    d = doc.load(sample_doc)
+    assert len(calls) == 5  # the five plane entries
+    for name in d.names("plane"):
+        assert d.plane(name) is d.plane(name)
+    raw = off_grassmannian_document()
+    raw["objects"]["p"]["frames"][1] = raw["objects"]["p"]["frames"][0]
+    calls.clear()
+    d = doc.Document(raw)
+    assert len(calls) == 4  # two knots, one midpoint and the plane M
+    d.path("p")
+    d.plane("M")
+    assert len(calls) == 4
 
 
 def frame_symplectic_projector_document(matrix) -> dict:
@@ -225,6 +251,12 @@ def test_cli_validation_exit_code(tmp_path, capsys):
         bad = tmp_path / f"malformed{i}.json"
         bad.write_text(json.dumps(raw))
         assert main(["maslov", "--input", str(bad), "--path", "p", "--reference", "M"]) == 2
+    # A matrix and a projector of different sizes.
+    bad = tmp_path / "compress.json"
+    bad.write_text(json.dumps(doc.new_document({"a": doc.hermitian_entry(np.eye(2)),
+                                                "p": doc.hermitian_entry(np.eye(3))})))
+    assert main(["relation", "--input", str(bad), "--op", "compress", "--names", "a", "p"]) == 2
+    assert "differ" in capsys.readouterr().err
     # A dimension range with a part that is not an integer.
     for n_text in ("x", "1..x", "1,,2"):
         assert main(["verify", "--suite", "graphs", "--n", n_text, "--trials", "1"]) == 2
@@ -240,15 +272,19 @@ def test_cli_validation_exit_code(tmp_path, capsys):
 def test_cli_refuses_a_negative_seed(sample_doc, capsys):
     # np.random.default_rng refuses a negative seed; the parser must
     # refuse it first, with the usage exit code and no traceback.
-    for argv in (["verify", "--suite", "graphs", "--n", "1", "--trials", "1"],
-                 ["index", "--input", sample_doc, "--planes", "L0", "L1", "L2",
-                  "--method", "robin"]):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--seed", "-1"])
-        assert exc.value.code == 2
-        assert "must be at least 0, got -1" in capsys.readouterr().err
-        assert main([*argv, "--seed", "0"]) == 0
-        capsys.readouterr()
+    argv = ["verify", "--suite", "graphs", "--n", "1", "--trials", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "must be at least 0, got -1" in capsys.readouterr().err
+    assert main([*argv, "--seed", "0"]) == 0
+    capsys.readouterr()
+    # The index algorithms draw nothing, so `index` has no --seed at all.
+    with pytest.raises(SystemExit) as exc:
+        main(["index", "--input", sample_doc, "--planes", "L0", "L1", "L2",
+              "--method", "robin", "--seed", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 def test_cli_relation_round_trip(sample_doc, tmp_path, capsys):
@@ -340,3 +376,9 @@ def test_cli_tolerance_env_override(sample_doc, capsys, monkeypatch):
     monkeypatch.setenv("LAGIDX_TOL_RESIDUAL", "1e-6")
     assert main(["index", "--input", sample_doc, "--planes", "L0", "L1", "L2"]) == 0
     capsys.readouterr()
+    # A value that is not a number is a validation error naming the variable.
+    for variable in ("LAGIDX_TOL_RANK", "LAGIDX_TOL_RESIDUAL"):
+        monkeypatch.setenv(variable, "abc")
+        assert main(["index", "--input", sample_doc, "--planes", "L0", "L1", "L2"]) == 2
+        assert f"{variable} must be a number, got 'abc'" in capsys.readouterr().err
+        monkeypatch.delenv(variable)

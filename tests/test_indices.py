@@ -1,10 +1,13 @@
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lagidx.hermitian
 import lagidx.indices
+import lagidx.relations
 from lagidx import (
     DualBasisFailure,
     LagidxError,
@@ -13,6 +16,7 @@ from lagidx import (
     SelectionFailed,
     SingularEpsilon,
     TransversalityViolated,
+    ValidationError,
     coboundary,
     duistermaat,
     duistermaat_graphs,
@@ -286,6 +290,58 @@ def test_haynsworth():
         assert rec.holds
         # the two expansions re-derive the invertible difference identity
         assert morse_difference_invertible(a, b).holds
+
+
+MORSE_FORMULAS = {
+    "invertible-difference": morse_difference_invertible,
+    "kernel-case-1": lambda a, b: morse_difference_kernel(a, b, "kerA_in_kerB"),
+    "kernel-case-2": lambda a, b: morse_difference_kernel(b, a, "kerB_in_kerA"),
+    "sum-invertible": morse_sum_invertible,
+    "haynsworth": haynsworth_check,
+}
+
+
+def shared_kernel_pair(n, rng):
+    """Hermitian A and B in one unitary basis with ker A inside ker B:
+    A has a kernel of dimension 1 and B one of dimension 2."""
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    da = np.array([1.5, -0.7, 0.9, 0.0])
+    db = np.array([0.4, -1.1, 0.0, 0.0])
+    return v @ np.diag(da) @ v.conj().T, v @ np.diag(db) @ v.conj().T
+
+
+def test_one_validation_and_one_eigh_per_input(monkeypatch):
+    # Each input is validated once and decomposed by one eigh, from which
+    # its inertia, kernel, range, inverse and pseudoinverse are all read;
+    # every derived matrix takes one eigvalsh.  No SVD and no inv.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    checked = counted("as_hermitian", lagidx.hermitian.as_hermitian)
+    for module in (lagidx.hermitian, lagidx.indices, lagidx.relations):
+        monkeypatch.setattr(module, "as_hermitian", checked)
+    rng = np.random.default_rng(17)
+    a, b = shared_kernel_pair(4, rng)
+    invertible = (random_hermitian(4, rng) + 0.1 * np.eye(4), random_hermitian(4, rng) - 0.1 * np.eye(4))
+    for name, formula in MORSE_FORMULAS.items():
+        calls.clear()
+        rec = formula(*((a, b) if name.startswith("kernel") else invertible))
+        assert rec.holds
+        derived = 4 if name == "haynsworth" else 2
+        assert calls == {"as_hermitian": 2, "eigh": 2, "eigvalsh": derived}, name
+
+
+def test_morse_formulas_refuse_unequal_shapes():
+    for name, formula in MORSE_FORMULAS.items():
+        with pytest.raises(ValidationError, match="A and B must share one shape"):
+            formula(np.eye(2), np.eye(3))
 
 
 def test_index_report_bounds_guard(rng):

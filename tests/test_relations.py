@@ -110,6 +110,11 @@ def test_compress(tol):
     assert np.allclose(compress(a, np.eye(2), tol), a)
     assert np.allclose(compress(a, np.zeros((2, 2)), tol), np.zeros((2, 2)))
     assert np.allclose(compress(a, np.diag([1.0, 0.0]), tol), np.diag([1.0, 0.0]))
+    # A projector of another size is a validation error, not a matmul error.
+    from lagidx import ValidationError
+
+    with pytest.raises(ValidationError, match="differ"):
+        compress(a, np.eye(3), tol)
 
 
 def test_compress_rejects_non_projector(tol):
