@@ -301,10 +301,10 @@ MORSE_FORMULAS = {
 }
 
 
-def shared_kernel_pair(n, rng):
-    """Hermitian A and B in one unitary basis with ker A inside ker B:
-    A has a kernel of dimension 1 and B one of dimension 2."""
-    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+def shared_kernel_pair(rng):
+    """4 x 4 Hermitian A and B in one unitary basis with ker A inside
+    ker B: A has a kernel of dimension 1 and B one of dimension 2."""
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     da = np.array([1.5, -0.7, 0.9, 0.0])
     db = np.array([0.4, -1.1, 0.0, 0.0])
     return v @ np.diag(da) @ v.conj().T, v @ np.diag(db) @ v.conj().T
@@ -328,7 +328,7 @@ def test_one_validation_and_one_eigh_per_input(monkeypatch):
     for module in (lagidx.hermitian, lagidx.indices, lagidx.relations):
         monkeypatch.setattr(module, "as_hermitian", checked)
     rng = np.random.default_rng(17)
-    a, b = shared_kernel_pair(4, rng)
+    a, b = shared_kernel_pair(rng)
     invertible = (random_hermitian(4, rng) + 0.1 * np.eye(4), random_hermitian(4, rng) - 0.1 * np.eye(4))
     for name, formula in MORSE_FORMULAS.items():
         calls.clear()
@@ -339,7 +339,7 @@ def test_one_validation_and_one_eigh_per_input(monkeypatch):
 
 
 def test_morse_formulas_refuse_unequal_shapes():
-    for name, formula in MORSE_FORMULAS.items():
+    for formula in MORSE_FORMULAS.values():
         with pytest.raises(ValidationError, match="A and B must share one shape"):
             formula(np.eye(2), np.eye(3))
 
