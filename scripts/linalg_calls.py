@@ -1,5 +1,5 @@
-"""Print the ``numpy.linalg`` calls per op, by function, over one pass of a
-benchmark pool.
+"""Print the ``numpy.linalg`` calls and count-rule decisions per op, over
+one pass of a benchmark pool.
 
 Usage (from the root of a checkout):
 
@@ -7,11 +7,14 @@ Usage (from the root of a checkout):
 
 The pool comes from ``bench/workloads.py``, which this script imports and
 does not change.  The pool is built first; then every public function of
-``numpy.linalg`` is wrapped with a counter and each pool item runs its op
-once.  Only the op is counted: input generation and the oracle are not.
-An op that raises a typed ``LagidxError`` counts as an op, with the calls
-it made before raising.  Each output line is a function name and its
-calls per op; the last line gives the number of ops.
+``numpy.linalg`` is wrapped with a counter, and so is ``hermitian._count``
+in its module namespace, and each pool item runs its op once.  Only the
+op is counted: input generation and the oracle are not.  An op that
+raises a typed ``LagidxError`` counts as an op, with the calls it made
+before raising.  Each output line is a function name and its calls per
+op, ``count_rule`` standing for ``hermitian._count`` (one call per set of
+eigenvalues or singular values decided); the last line gives the number
+of ops.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import lagidx  # noqa: E402
+import lagidx.hermitian  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 # The workloads whose ops run in this process.
@@ -41,13 +45,16 @@ def counted(calls: Counter, name: str, fn):
 
 
 def count_calls(workload, pool) -> Counter:
-    """Calls to each ``numpy.linalg`` function over one pass of the pool."""
+    """Calls to each ``numpy.linalg`` function, and to the count rule,
+    over one pass of the pool."""
     calls = Counter()
     originals = {name: getattr(np.linalg, name) for name in np.linalg.__all__
                  if callable(getattr(np.linalg, name))
                  and not isinstance(getattr(np.linalg, name), type)}
+    count_rule = lagidx.hermitian._count
     for name, fn in originals.items():
         setattr(np.linalg, name, counted(calls, name, fn))
+    lagidx.hermitian._count = counted(calls, "count_rule", count_rule)
     try:
         for item in pool:
             try:
@@ -57,6 +64,7 @@ def count_calls(workload, pool) -> Counter:
     finally:
         for name, fn in originals.items():
             setattr(np.linalg, name, fn)
+        lagidx.hermitian._count = count_rule
     return calls
 
 

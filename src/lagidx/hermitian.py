@@ -5,9 +5,10 @@ the count rule: a value counts as nonzero when it exceeds
 ``rank_rel_tol * max(1, scale)``, ``scale`` being the largest absolute
 value in its set.  The floor of 1 makes the zero matrix behave sensibly
 and keeps both sides of integer identities on one footing.  A square
-matrix is invertible exactly when its count-rule rank is full.  Two
-functions apply the rule: ``_count`` to the eigenvalues of one Hermitian
-matrix and ``count_above_cutoff`` to singular values.
+matrix is invertible exactly when its count-rule rank is full.  One
+function applies the rule, ``_count``, to one ascending set of values:
+the eigenvalues of a Hermitian matrix, or the singular values that
+``count_above_cutoff`` hands it.
 
 The rule also takes a stack of matrices (or of value sets) along the
 leading axes and decides each one with its own cutoff, exactly as for a
@@ -145,23 +146,24 @@ def cutoff_margin(values: np.ndarray, tol: TolerancePolicy) -> float:
 
 
 def count_above_cutoff(values: np.ndarray, tol: TolerancePolicy):
-    """The count rule: how many values exceed the cutoff of their set.
+    """The count rule on singular values: how many exceed the cutoff of
+    their set, as ``_count`` decides it.
 
     The values must be singular values as ``np.linalg.svd`` returns them:
-    nonnegative and in descending order along the last axis, so the scale
-    of each set is its first value.  An int for one set, 0 when it is
-    empty; for a stack of sets, an array of counts."""
+    nonnegative and in descending order along the last axis.  An int for
+    one set, 0 when it is empty; for a (k, m) stack of sets, a list of k
+    counts."""
+    ascending = values[..., ::-1].tolist()
     if values.ndim > 1:
-        return (values > _cutoff(values[..., :1], tol)).sum(axis=-1)
-    if not values.size:
-        return 0
-    return int(np.count_nonzero(values > tol.rank_rel_tol * max(values[0], 1.0)))
+        return [_count(v, tol).n_plus for v in ascending]
+    return _count(ascending, tol).n_plus
 
 
 def _count(v: list[float], tol: TolerancePolicy) -> Inertia:
-    """The count rule on the eigenvalues of one matrix, given as an
-    ascending list of plain floats; the only place an eigenvalue meets the
-    cutoff.  The largest absolute value sits at one of the two ends, and
+    """The count rule on one set of values, given as an ascending list of
+    plain floats: the eigenvalues of one matrix, or singular values, whose
+    count is n_plus.  The only place a value meets the cutoff.  The
+    largest absolute value sits at one of the two ends, and
     each sign count is one binary search.  At n <= 6 that beats
     comparisons over a numpy array, whose cost is per-call overhead."""
     n = len(v)
@@ -248,12 +250,18 @@ def n_minus(h, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     return inertia(h, tol).n_minus
 
 
+def _as_finite_matrix(a, what: str) -> np.ndarray:
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2:
+        raise ValidationError(f"{what} expects a matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{what} expects finite entries")
+    return m
+
+
 def rank(m, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Numerical rank under the shared cutoff policy."""
-    a = np.asarray(m, dtype=complex)
-    if a.size == 0:
-        return 0
-    return count_above_cutoff(np.linalg.svd(a, compute_uv=False), tol)
+    return count_above_cutoff(np.linalg.svd(_as_finite_matrix(m, "rank"), compute_uv=False), tol)
 
 
 def kernel_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -261,10 +269,7 @@ def kernel_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
     Works for rectangular input; returns a ``cols x (cols - rank)`` array.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValidationError(f"kernel_basis expects a matrix, got shape {a.shape}")
-    _, s, vh = np.linalg.svd(a)
+    _, s, vh = np.linalg.svd(_as_finite_matrix(m, "kernel_basis"))
     return vh[count_above_cutoff(s, tol):].conj().T
 
 

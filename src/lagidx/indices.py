@@ -47,6 +47,7 @@ from .planes import (
     LagrangianPlane,
     checked_robin_matrices,
     epsilon_select,
+    frame_pairing,
     intersection_dim,
     pairing_matrix,
     robin_matrices,
@@ -179,9 +180,9 @@ def _reduction_graphs(planes, l4: LagrangianPlane, tol: TolerancePolicy) -> np.n
     Lagrangian) raises DualBasisFailure."""
     x = np.stack([p.x for p in planes])
     y = np.stack([p.y for p in planes])
-    g = l4.x.conj().T @ y - l4.y.conj().T @ x
+    g = frame_pairing(l4.x, l4.y, x, y)
     a, w = [0, 0, 1], [1, 2, 2]  # La and W of the three terms
-    p_aw = x[a].conj().swapaxes(-1, -2) @ y[w] - y[a].conj().swapaxes(-1, -2) @ x[w]
+    p_aw = frame_pairing(x[a], y[a], x[w], y[w])
     return checked_hermitian_part(p_aw @ np.linalg.solve(g[w], g[a]), tol, DualBasisFailure,
                                   "reduction graph matrix")
 

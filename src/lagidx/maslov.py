@@ -50,6 +50,7 @@ from .hermitian import (
 from .indices import VerificationRecord, duistermaat_omega
 from .planes import (
     LagrangianPlane,
+    frame_pairing,
     pairing_matrix,
     plane_from_frame,
     random_plane,
@@ -218,8 +219,7 @@ class Crossing:
 
 
 def _pairing_at(path, m: LagrangianPlane, t: float) -> np.ndarray:
-    x, y = path.frame_at(t)
-    return m.x.conj().T @ y - m.y.conj().T @ x
+    return frame_pairing(m.x, m.y, *path.frame_at(t))
 
 
 def _golden_minimize(f, lo: float, hi: float, width: float = _REFINE_WIDTH) -> float:
@@ -243,7 +243,7 @@ def _golden_minimize(f, lo: float, hi: float, width: float = _REFINE_WIDTH) -> f
 def _restricted_form(basis: np.ndarray, x, y, xd, yd) -> np.ndarray:
     """The crossing form restricted to the basis; for one matrix, or for
     each matrix of stacks of equal shape."""
-    form = hermitian_part(x.conj().swapaxes(-1, -2) @ yd - y.conj().swapaxes(-1, -2) @ xd)
+    form = hermitian_part(frame_pairing(x, y, xd, yd))
     return hermitian_part(basis.conj().swapaxes(-1, -2) @ form @ basis)
 
 
@@ -395,14 +395,13 @@ def _pencil_crossings(path: PiecewiseLinearPath, m: LagrangianPlane,
     the pieces before it are solved.
     """
     n, knots, frames = path.n, path.knots, path.frames
-    mxh, myh = m.x.conj().T, m.y.conj().T
-    ka, kd = mxh @ frames[1::2] - myh @ frames[0::2]
+    ka, kd = frame_pairing(m.x, m.y, frames[0::2], frames[1::2])
     lo, hi = np.array(knots[:-1]), np.array(knots[1:])
     shifts = lo[:, None] + (np.arange(1, n + 2) * _GOLDEN % 1.0) * (hi - lo)[:, None]
     probes = ka[:, None] + (shifts - lo[:, None])[..., None, None] * kd[:, None]
     s = np.linalg.svd(probes, compute_uv=False)
     best = np.argmax(s[..., -1] / np.maximum(1.0, s[..., 0]), axis=-1)
-    regular = (count_above_cutoff(s[np.arange(len(lo)), best], tol) == n).tolist()
+    regular = [r == n for r in count_above_cutoff(s[np.arange(len(lo)), best], tol)]
     walk = regular.index(False) if False in regular else len(regular)
     picked = (np.arange(walk), best[:walk])
     lam = np.linalg.eigvals(np.linalg.solve(probes[picked], kd[:walk]))
@@ -432,8 +431,8 @@ def _pencil_crossings(path: PiecewiseLinearPath, m: LagrangianPlane,
     points = list(dict.fromkeys(p for *_, ps in clusters for p in ps))
     at = {p: i for i, p in enumerate(points)}
     xy = path.frames_at(points)
-    _, sv, vh = np.linalg.svd(mxh @ xy[1] - myh @ xy[0])
-    dims = (n - count_above_cutoff(sv, tol)).tolist()
+    _, sv, vh = np.linalg.svd(frame_pairing(m.x, m.y, xy[0], xy[1]))
+    dims = [n - r for r in count_above_cutoff(sv, tol)]
 
     # Meeting points, with the root clusters met there: their sizes, and
     # whether each lies beyond its own piece.
@@ -574,7 +573,7 @@ def is_nondecreasing(path, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     else:
         points = ((*path.frame_at(float(t)), *path.derivative_at(float(t)))
                   for t in np.linspace(0.0, 1.0, _MONOTONE_GRID))
-    return not any(trusted_inertia(hermitian_part(x.conj().T @ yd - y.conj().T @ xd), tol).n_minus
+    return not any(trusted_inertia(hermitian_part(frame_pairing(x, y, xd, yd)), tol).n_minus
                    for x, y, xd, yd in points)
 
 

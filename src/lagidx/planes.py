@@ -88,7 +88,7 @@ def validate_frame(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray
         raise ValidationError("frame contains non-finite entries")
     if rank(z, tol) < xm.shape[1]:
         raise NotInjective("frame columns are numerically dependent")
-    lag = xm.conj().T @ ym - ym.conj().T @ xm
+    lag = frame_pairing(xm, ym, xm, ym)
     bound = tol.residual_tol * (np.linalg.norm(xm) * np.linalg.norm(ym) + 1.0)
     if np.linalg.norm(lag) > bound:
         raise NotLagrangian(f"Lagrangian residual {np.linalg.norm(lag):.3e} exceeds {bound:.3e}")
@@ -148,11 +148,20 @@ def vertical_plane(n: int) -> LagrangianPlane:
     return LagrangianPlane(np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex))
 
 
+def frame_pairing(x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """The symplectic pairing X1*Y2 - Y1*X2 of the frames (X1; Y1) and
+    (X2; Y2); for stacks of blocks, of each pair of frames along the
+    leading axes, which broadcast.  The only place the pairing is
+    written: it vanishes on a Lagrangian frame paired with itself, and
+    its kernel represents the intersection of two planes."""
+    return x1.conj().swapaxes(-1, -2) @ y2 - y1.conj().swapaxes(-1, -2) @ x2
+
+
 def pairing_matrix(l1: LagrangianPlane, l2: LagrangianPlane) -> np.ndarray:
     """The n x n pairing X1*Y2 - Y1*X2 whose kernel represents L1 ∩ L2."""
     if l1.n != l2.n:
         raise ValidationError("planes live in different dimensions")
-    return l1.x.conj().T @ l2.y - l1.y.conj().T @ l2.x
+    return frame_pairing(l1.x, l1.y, l2.x, l2.y)
 
 
 def intersection_dim(l1: LagrangianPlane, l2: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> int:
@@ -283,11 +292,15 @@ def robin_map(plane: LagrangianPlane, epsilon: float, tol: TolerancePolicy = DEF
 
 def checked_robin_matrices(planes, epsilon: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """:func:`robin_matrices` at an epsilon that :func:`epsilon_select` has
-    not picked for these planes: an X + eps Y of count-rule rank below n,
-    for any plane, raises SingularEpsilon first, with one stacked SVD."""
+    not picked for these planes: an epsilon that is not finite raises
+    ValidationError, and an X + eps Y of count-rule rank below n, for any
+    plane, raises SingularEpsilon first, with one stacked SVD."""
+    if not np.isfinite(epsilon):
+        raise ValidationError(f"Robin epsilon must be finite, got {epsilon}")
     xs, ys = _stacked_frames(planes, "robin_matrices")
     n = xs.shape[-1]
-    if (count_above_cutoff(np.linalg.svd(xs + epsilon * ys, compute_uv=False), tol) < n).any():
+    ranks = count_above_cutoff(np.linalg.svd(xs + epsilon * ys, compute_uv=False), tol)
+    if any(r < n for r in ranks):
         raise SingularEpsilon(f"X + {epsilon} Y has count-rule rank below {n}")
     return robin_matrices(planes, epsilon, tol)
 

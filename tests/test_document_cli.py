@@ -257,6 +257,13 @@ def test_cli_validation_exit_code(tmp_path, capsys):
                                                 "p": doc.hermitian_entry(np.eye(3))})))
     assert main(["relation", "--input", str(bad), "--op", "compress", "--names", "a", "p"]) == 2
     assert "differ" in capsys.readouterr().err
+    # A forced Robin epsilon that is not finite.
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc.new_document({"L": doc.plane_entry(horizontal_plane(1))})))
+    for eps in ("nan", "inf", "-inf"):
+        assert main(["index", "--input", str(good), "--planes", "L", "L", "L",
+                     "--method", "robin", f"--eps={eps}"]) == 2
+        assert "must be finite" in capsys.readouterr().err
     # A dimension range with a part that is not an integer.
     for n_text in ("x", "1..x", "1,,2"):
         assert main(["verify", "--suite", "graphs", "--n", n_text, "--trials", "1"]) == 2

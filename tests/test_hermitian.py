@@ -160,9 +160,10 @@ def test_stacked_rules_decide_each_matrix_alone(tol):
     ]
     stack = np.array([np.diag(d) for d in diagonals], dtype=complex)
     ranks = count_above_cutoff(np.linalg.svd(stack, compute_uv=False), tol)
-    assert ranks.tolist() == [rank(m, tol) for m in stack] == [1, 1, 1, 2, 1, 2]
+    assert ranks == [rank(m, tol) for m in stack] == [1, 1, 1, 2, 1, 2]
     inertias = trusted_inertia(stack, tol)
     assert inertias == [inertia(m, tol) for m in stack]
+    assert ranks == [i.dim - i.n_zero for i in inertias]
     assert [i.as_tuple() for i in inertias] == [
         (0, 1, 1), (0, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 0, 1)]
 
@@ -175,7 +176,7 @@ def test_count_rule_reads_the_leading_singular_value(tol):
         return int(np.sum(values > cut))
 
     empty = np.zeros((2, 0))
-    assert count_above_cutoff(empty, tol).tolist() == [0, 0]
+    assert count_above_cutoff(empty, tol) == [0, 0]
     assert count_above_cutoff(empty[0], tol) == 0
     diagonals = [
         (0.0, 0.0, 0.0),
@@ -186,7 +187,7 @@ def test_count_rule_reads_the_leading_singular_value(tol):
     s = np.linalg.svd(np.array([np.diag(d) for d in diagonals], dtype=complex), compute_uv=False)
     expected = [readme_count(v) for v in s]
     assert expected == [0, 1, 2, 2]
-    assert count_above_cutoff(s, tol).tolist() == expected
+    assert count_above_cutoff(s, tol) == expected
     assert [count_above_cutoff(v, tol) for v in s] == expected
 
 
@@ -228,6 +229,12 @@ def test_rejects_bad_input():
         inertia(np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
         as_hermitian(np.ones((2, 3)))
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    for bad in (np.ones(3), np.ones((2, 2, 2)), nan, np.diag([np.inf, 1.0])):
+        with pytest.raises(ValidationError):
+            rank(bad)
+        with pytest.raises(ValidationError):
+            kernel_basis(bad)
 
 
 def test_inertia_dataclass():

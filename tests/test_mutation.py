@@ -1,13 +1,17 @@
 """Mutation resistance: deliberately broken builds must be caught by the
 verification suites.  Each mutant flips one structural choice (a sign in
-the Robin-map combination, or the endpoint conventions of the crossing
-count) and at least one suite has to report failures.
+the Robin-map combination, the endpoint conventions of the crossing
+count, or the symplectic pairing convention) and at least one suite has
+to report failures.
 """
+
+import sys
 
 import pytest
 
 import lagidx.indices
 import lagidx.maslov
+import lagidx.planes
 from lagidx import verify
 
 
@@ -46,3 +50,19 @@ def test_maslov_endpoint_swap_is_caught(monkeypatch):
     monkeypatch.setattr(lagidx.maslov, "index_from_crossings", swapped)
     report = run_light("maslov-zwz")
     assert not report.ok, "swapped endpoint conventions escaped the Maslov suite"
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda pair, x1, y1, x2, y2: -pair(x1, y1, x2, y2),
+    lambda pair, x1, y1, x2, y2: pair(x1, y1, y2, x2),
+], ids=["negated", "blocks-swapped"])
+def test_pairing_convention_is_caught(monkeypatch, mutant):
+    original = lagidx.planes.frame_pairing
+    holders = [module for name, module in sys.modules.items()
+               if name.split(".")[0] == "lagidx"
+               and getattr(module, "frame_pairing", None) is original]
+    assert {m.__name__ for m in holders} >= {"lagidx.planes", "lagidx.maslov", "lagidx.indices"}
+    for module in holders:
+        monkeypatch.setattr(module, "frame_pairing", lambda *blocks: mutant(original, *blocks))
+    assert not run_light("axioms").ok, "mutated pairing escaped the axiom suite"
+    assert not run_light("maslov-zwz").ok, "mutated pairing escaped the Maslov suite"

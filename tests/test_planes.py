@@ -31,6 +31,7 @@ from lagidx import (
 from lagidx.hermitian import random_hermitian
 from lagidx.planes import (
     _candidate_angles,
+    frame_pairing,
     pairing_matrix,
     principal_angles,
     robin_matrices,
@@ -93,6 +94,24 @@ def test_intersection_symmetry_and_invariance(rng, tol):
         assert intersection_dim(l1, l1) == n
 
 
+def test_frame_pairing_stacks_and_vanishes_on_lagrangian_frames(rng, tol):
+    for n in (1, 3):
+        planes = [random_plane(n, rng) for _ in range(4)]
+        m = random_plane_with_mul(n, 1, rng)
+        xs, ys = np.stack([p.x for p in planes]), np.stack([p.y for p in planes])
+        stacked = frame_pairing(m.x, m.y, xs, ys)
+        assert stacked.shape == (4, n, n)
+        for k, p in enumerate(planes):
+            assert np.allclose(stacked[k], pairing_matrix(m, p), rtol=0.0, atol=1e-14)
+        assert np.allclose(frame_pairing(xs, ys, xs[::-1], ys[::-1]),
+                           [pairing_matrix(p, q) for p, q in zip(planes, planes[::-1])],
+                           rtol=0.0, atol=1e-14)
+        for p in (*planes, m):
+            assert np.linalg.norm(frame_pairing(p.x, p.y, p.x, p.y)) <= tol.residual_tol
+        self_pairings = frame_pairing(xs, ys, xs, ys)
+        assert np.linalg.norm(self_pairings, axis=(-2, -1)).max() <= tol.residual_tol
+
+
 def test_robin_map_examples(tol):
     n = 2
     assert np.allclose(robin_map(horizontal_plane(n), 0.7).matrix, np.zeros((n, n)), atol=1e-12)
@@ -136,6 +155,13 @@ def test_robin_map_refuses_an_x_plus_eps_y_of_rounding_noise(rng, tol):
             plane = graph_plane(u @ (-2.0 * np.eye(n)) @ u.conj().T)
             with pytest.raises(SingularEpsilon):
                 robin_map(plane, 0.5, tol)
+
+
+def test_robin_map_refuses_a_non_finite_epsilon(tol):
+    # Before its SVD: X + nan Y would end in numpy's LinAlgError.
+    for eps in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            robin_map(horizontal_plane(2), eps, tol)
 
 
 def test_epsilon_select(tol):
