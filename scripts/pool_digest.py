@@ -8,8 +8,10 @@ Each line holds everything the library decided for one pool item, with
 floats written as hex so that two checkouts compare bit for bit:
 
 * triples: the omega, robin and reduce reports (value, ``epsilon_used``,
-  diagnostics), the Kashiwara value, the three difference frames, the
-  omega value after subtraction and the ``decompose`` ``mul_dim``;
+  diagnostics), the closed-form value, the Kashiwara value, the index
+  via resolvent differences against the item's graph, the three
+  difference frames, the omega value after subtraction and the
+  ``decompose`` ``mul_dim``;
 * Maslov paths: every crossing (t, dim, form inertia) and the index.
 
 A typed ``LagidxError`` prints as its class name and message.  Comparing
@@ -72,7 +74,9 @@ def triple_line(item) -> list[str]:
         "omega=" + attempt(lambda: report(lagidx.duistermaat_omega(l1, l2, l3))),
         "robin=" + attempt(lambda: report(lagidx.duistermaat_robin(l1, l2, l3, seed=item.robin_seed))),
         "reduce=" + attempt(lambda: report(lagidx.duistermaat_reduce(l1, l2, l3, seed=item.reduce_seed))),
+        "closed_form=" + attempt(lambda: lagidx.duistermaat(l1, l2, l3, method="closed_form").value),
         "kashiwara=" + attempt(lambda: lagidx.kashiwara(l1, l2, l3)),
+        "resolvent=" + attempt(lambda: lagidx.index_via_resolvent_difference(l1, l2, item.graph)),
         "differences=" + attempt(differences),
         "omega_diff=" + (attempt(lambda: lagidx.duistermaat_omega(*diffs).value)
                          if len(diffs) == 3 else "skipped"),

@@ -73,12 +73,13 @@ class Inertia:
         return (self.n_minus, self.n_zero, self.n_plus)
 
 
-def _as_square_complex(a, what: str = "matrix") -> np.ndarray:
+def _as_finite_matrix(a, what: str) -> np.ndarray:
+    """A 2-D complex array with finite entries, in any layout, else ValidationError."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{what} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValidationError(f"{what} contains non-finite entries")
+    if m.ndim != 2:
+        raise ValidationError(f"{what} expects a matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{what} expects finite entries")
     return m
 
 
@@ -119,11 +120,21 @@ def checked_hermitian_part(m: np.ndarray, tol: TolerancePolicy, error: type,
 
 def as_hermitian(a, tol: TolerancePolicy = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     """Symmetrize, rejecting inputs whose asymmetry exceeds the policy."""
-    m = _as_square_complex(a, what)
+    m = _as_finite_matrix(a, what)
+    if m.shape[0] != m.shape[1]:
+        raise ValidationError(f"{what} must be square, got shape {m.shape}")
     asym = np.linalg.norm(m - m.conj().T)
     if asym > tol.residual_tol * max(1.0, np.linalg.norm(m)):
         raise NotHermitian(f"{what} asymmetry {asym:.3e} exceeds tolerance")
     return (m + m.conj().T) / 2
+
+
+def _as_projector(p, tol: TolerancePolicy, what: str) -> np.ndarray:
+    """A Hermitian P with |P^2 - P| <= residual_tol * max(1, |P|), else ValidationError."""
+    pm = as_hermitian(p, tol, what)
+    if np.linalg.norm(pm @ pm - pm) > tol.residual_tol * max(1.0, np.linalg.norm(pm)):
+        raise ValidationError(f"{what} is not idempotent: |P^2 - P| exceeds residual_tol * max(1, |P|)")
+    return pm
 
 
 def _cutoff(scale, tol: TolerancePolicy):
@@ -248,15 +259,6 @@ def inertia(h, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
 def n_minus(h, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Morse index: number of negative eigenvalues."""
     return inertia(h, tol).n_minus
-
-
-def _as_finite_matrix(a, what: str) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValidationError(f"{what} expects a matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValidationError(f"{what} expects finite entries")
-    return m
 
 
 def rank(m, tol: TolerancePolicy = DEFAULT_TOL) -> int:

@@ -45,11 +45,11 @@ from .hermitian import (
 )
 from .planes import (
     LagrangianPlane,
+    _same_dimension,
     checked_robin_matrices,
     epsilon_select,
     frame_pairing,
     intersection_dim,
-    pairing_matrix,
     robin_matrices,
     transversal_companion,
     vertical_plane,
@@ -88,12 +88,6 @@ def coboundary(phi, args):
     return total
 
 
-def _check_triple(l1, l2, l3):
-    if not (l1.n == l2.n == l3.n):
-        raise ValidationError("planes of a triple must share the same dimension")
-    return l1.n
-
-
 def _check_bounds(value: int, n: int, method: str) -> int:
     if not 0 <= value <= n:
         raise ToleranceBreakdown(f"{method} produced {value} outside [0, {n}]")
@@ -104,11 +98,11 @@ def omega_form(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane) ->
     """Hermitian 3n x 3n matrix of the triple pairing form in frame
     coordinates.  Its nullity is the sum of the three pairwise
     intersection dimensions."""
-    n = _check_triple(l1, l2, l3)
+    n = _same_dimension((l1, l2, l3), "omega_form")[0].n
     w = np.zeros((3 * n, 3 * n), dtype=complex)
-    w12 = pairing_matrix(l1, l2)
-    w13 = -pairing_matrix(l1, l3)
-    w23 = pairing_matrix(l2, l3)
+    w12 = frame_pairing(l1.x, l1.y, l2.x, l2.y)
+    w13 = -frame_pairing(l1.x, l1.y, l3.x, l3.y)
+    w23 = frame_pairing(l2.x, l2.y, l3.x, l3.y)
     w[:n, n:2 * n] = w12
     w[:n, 2 * n:] = w13
     w[n:2 * n, 2 * n:] = w23
@@ -121,10 +115,9 @@ def omega_form(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane) ->
 def duistermaat_omega(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
                       tol: TolerancePolicy = DEFAULT_TOL) -> IndexReport:
     """Duistermaat index as n_-(W) - n + dim(L1 ∩ L3)."""
-    n = _check_triple(l1, l2, l3)
     inr = trusted_inertia(omega_form(l1, l2, l3), tol)
     dim13 = intersection_dim(l1, l3, tol)
-    value = _check_bounds(inr.n_minus - n + dim13, n, "omega")
+    value = _check_bounds(inr.n_minus - l1.n + dim13, l1.n, "omega")
     return IndexReport(value, "omega", None, {"form_inertia": inr.as_tuple(), "dim13": dim13})
 
 
@@ -153,18 +146,17 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
     Passing an explicit ``epsilon`` skips selection and the double check.
     ``seed`` is accepted and unused: the selection is closed-form.
     """
-    n = _check_triple(l1, l2, l3)
     planes = (l1, l2, l3)
     if epsilon is not None:
         value, = _robin_values(checked_robin_matrices(planes, epsilon, tol), tol)
-        return IndexReport(_check_bounds(value, n, "robin"), "robin", float(epsilon),
+        return IndexReport(_check_bounds(value, l1.n, "robin"), "robin", float(epsilon),
                            {"forced_epsilon": True})
     eps1, eps2, margin = epsilon_select(planes, tol)
     v1, v2 = _robin_values(robin_matrices(planes, (eps1, eps2), tol), tol)
     if v1 != v2:
         raise EpsilonDisagreement(
             f"epsilon {eps1:.6g} gave {v1} but epsilon {eps2:.6g} gave {v2}")
-    return IndexReport(_check_bounds(v1, n, "robin"), "robin", eps1,
+    return IndexReport(_check_bounds(v1, l1.n, "robin"), "robin", eps1,
                        {"epsilon_second": eps2, "value_second": v2, "selection_margin": margin})
 
 
@@ -203,14 +195,13 @@ def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianP
     An asymmetric B, from a non-Lagrangian plane, raises SelectionFailed
     from DualBasisFailure.  ``seed`` is accepted and unused.
     """
-    n = _check_triple(l1, l2, l3)
     l4, margin = transversal_companion((l1, l2, l3), tol)
     try:
         graphs = _reduction_graphs((l1, l2, l3), l4, tol)
     except DualBasisFailure as exc:
         raise SelectionFailed("reduction failed against its companion plane") from exc
     t12, t13, t23 = (i.n_minus for i in trusted_inertia(graphs, tol))
-    value = _check_bounds(t12 - t13 + t23, n, "reduce")
+    value = _check_bounds(t12 - t13 + t23, l1.n, "reduce")
     return IndexReport(value, "reduce", None, {"terms": (t12, t13, t23), "selection_margin": margin})
 
 
@@ -219,6 +210,11 @@ def duistermaat_graphs(a, b, c, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     am, bm, cm = (as_hermitian(m, tol) for m in (a, b, c))
     if not (am.shape == bm.shape == cm.shape):
         raise ValidationError("graph matrices must share one dimension")
+    return _graphs_index(am, bm, cm, tol)
+
+
+def _graphs_index(am, bm, cm, tol: TolerancePolicy) -> int:
+    """:func:`duistermaat_graphs` on exactly Hermitian matrices of one shape."""
     return (trusted_inertia(bm - am, tol).n_minus
             - trusted_inertia(cm - am, tol).n_minus
             + trusted_inertia(cm - bm, tol).n_minus)
@@ -239,14 +235,11 @@ def duistermaat(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
     if method == "reduce":
         return duistermaat_reduce(l1, l2, l3, tol, seed)
     if method == "closed_form":
-        n = _check_triple(l1, l2, l3)
-        v = vertical_plane(n)
-        mats = []
-        for p in (l1, l2, l3):
-            if intersection_dim(p, v, tol) != 0:
-                raise ValidationError("closed_form needs all three planes to be graphs")
-            mats.append(hermitian_part(p.y @ np.linalg.inv(p.x)))
-        value = _check_bounds(duistermaat_graphs(*mats, tol=tol), n, "closed_form")
+        n = _same_dimension((l1, l2, l3), "closed_form")[0].n
+        parts = [decompose(p, tol) for p in (l1, l2, l3)]
+        if any(q.mul_dim for q in parts):
+            raise ValidationError("closed_form needs all three planes to be graphs")
+        value = _check_bounds(_graphs_index(*(q.operator_part for q in parts), tol), n, "closed_form")
         return IndexReport(value, "closed_form")
     raise ValidationError(f"unknown method {method!r}")
 
@@ -255,7 +248,6 @@ def kashiwara(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
               tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Kashiwara (Hormander-Kashiwara-Wall) index: the signature of the
     triple pairing form."""
-    _check_triple(l1, l2, l3)
     return trusted_inertia(omega_form(l1, l2, l3), tol).signature
 
 
@@ -378,17 +370,16 @@ def index_via_resolvent_difference(l1: LagrangianPlane, l2: LagrangianPlane, l3:
                                    tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Index of a triple whose third plane is transversal to the first two
     and to the vertical plane, via inverses of relation differences."""
-    n = _check_triple(l1, l2, l3)
-    v = vertical_plane(n)
+    v = vertical_plane(_same_dimension((l1, l2, l3), "index_via_resolvent_difference")[0].n)
     for other, label in ((l1, "L1"), (l2, "L2"), (v, "the vertical plane")):
         if intersection_dim(l3, other, tol) != 0:
             raise TransversalityViolated(f"L3 is not transversal to {label}")
     mats = []
     for p in (l1, l2):
-        inv_diff = inverse(difference(p, l3, tol))
-        if intersection_dim(inv_diff, v, tol) != 0:
+        parts = decompose(inverse(difference(p, l3, tol)), tol)
+        if parts.mul_dim:
             raise ToleranceBreakdown("inverted difference failed to be a graph")
-        mats.append(hermitian_part(inv_diff.y @ np.linalg.inv(inv_diff.x)))
+        mats.append(parts.operator_part)
     return trusted_inertia(mats[0] - mats[1], tol).n_minus
 
 

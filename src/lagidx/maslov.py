@@ -40,6 +40,7 @@ from .hermitian import (
     DEFAULT_TOL,
     Inertia,
     TolerancePolicy,
+    _as_projector,
     as_hermitian,
     count_above_cutoff,
     cutoff_for,
@@ -50,6 +51,7 @@ from .hermitian import (
 from .indices import VerificationRecord, duistermaat_omega
 from .planes import (
     LagrangianPlane,
+    _same_dimension,
     frame_pairing,
     pairing_matrix,
     plane_from_frame,
@@ -180,9 +182,7 @@ def graph_segment(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> PiecewiseLinearPa
 
 def scaled_projector_path(q, tol: TolerancePolicy = DEFAULT_TOL) -> PiecewiseLinearPath:
     """Path t -> graph of t Q for an orthogonal projector Q."""
-    qm = as_hermitian(q, tol, "projector")
-    if np.linalg.norm(qm @ qm - qm) > tol.residual_tol * max(1.0, np.linalg.norm(qm)):
-        raise ValidationError("scaled_projector_path needs an orthogonal projector")
+    qm = _as_projector(q, tol, "projector")
     n = qm.shape[0]
     return PiecewiseLinearPath([0.0, 1.0], [np.eye(n)], [np.zeros((n, n))], [np.zeros((n, n))],
                                [qm], "scaled_projector")
@@ -198,13 +198,17 @@ def reparametrize(path, phi, dphi) -> ReparametrizedPath:
     Crossings are found on the base path and mapped back through phi, so
     phi must fix both ends and must not turn back: on 256 points phi must
     increase strictly and dphi must be positive, except at t = 0 and t = 1
-    where it may vanish (as for t^2 (3 - 2t)).
+    where it may vanish (as for t^2 (3 - 2t)).  A sample of phi or dphi
+    that is not finite raises ValidationError too.
     """
-    if abs(phi(0.0)) > DEFAULT_TOL.residual_tol or abs(phi(1.0) - 1.0) > DEFAULT_TOL.residual_tol:
+    ts = np.linspace(0.0, 1.0, _MONOTONE_GRID).tolist()
+    values = [phi(t) for t in ts]
+    rates = [dphi(t) for t in ts[1:-1]]
+    if not (np.isfinite(values).all() and np.isfinite(rates).all()):
+        raise ValidationError("reparametrize needs finite phi and dphi")
+    if abs(values[0]) > DEFAULT_TOL.residual_tol or abs(values[-1] - 1.0) > DEFAULT_TOL.residual_tol:
         raise ValidationError("reparametrize needs phi(0) = 0 and phi(1) = 1")
-    ts = np.linspace(0.0, 1.0, _MONOTONE_GRID)
-    if (np.any(np.diff([phi(float(t)) for t in ts]) <= 0.0)
-            or any(dphi(float(t)) <= 0.0 for t in ts[1:-1])):
+    if np.any(np.diff(values) <= 0.0) or any(r <= 0.0 for r in rates):
         raise ValidationError("reparametrize needs an increasing phi with dphi > 0 inside (0, 1)")
     return ReparametrizedPath(path, phi, dphi)
 
@@ -253,8 +257,7 @@ def crossing_form(path, t0: float, m: LagrangianPlane, tol: TolerancePolicy = DE
 
     Raises NoCrossing when the intersection is trivial at t0.
     """
-    if path.n != m.n:
-        raise ValidationError("path and reference plane dimensions differ")
+    _same_dimension((path, m), "crossing_form")
     basis = kernel_basis(_pairing_at(path, m, t0), tol)
     if basis.shape[1] == 0:
         raise NoCrossing(f"no intersection with the reference plane at t={t0}")
@@ -296,8 +299,7 @@ def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL)
     Degenerate restricted forms raise DegenerateCrossing; two crossings
     closer than 1e-9 raise UnresolvedCluster instead of being merged.
     """
-    if path.n != m.n:
-        raise ValidationError("path and reference plane dimensions differ")
+    _same_dimension((path, m), "find_crossings")
     return _crossings(path, m, tol)
 
 
@@ -616,10 +618,8 @@ def minimal_path(l0: LagrangianPlane, l1: LagrangianPlane,
     and Q = diag(I_r, 0) come from one SVD of the pairing matrix, r being
     its rank, so the path is constant on L0 ∩ L1.
     """
-    if l0.n != l1.n:
-        raise ValidationError("planes live in different dimensions")
+    n = _same_dimension((l0, l1), "minimal_path")[0].n
     z, q = _pair_normalization(l0, l1, tol)
-    n = l0.n
     z11, z12 = z[:n, :n], z[:n, n:]
     z21, z22 = z[n:, :n], z[n:, n:]
     return PiecewiseLinearPath([0.0, 1.0], [z11], [z21], [z12 @ q], [z22 @ q], "minimal")

@@ -25,6 +25,7 @@ from .errors import (
 from .hermitian import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _as_finite_matrix,
     as_hermitian,
     checked_hermitian_part,
     count_above_cutoff,
@@ -33,7 +34,7 @@ from .hermitian import (
     random_hermitian,
     rank,
 )
-from .symplectic import random_symplectic, standard_form, swap_map
+from .symplectic import _as_dimension, random_symplectic, standard_form, swap_map
 
 # Robin epsilons are tan(phi) for phi in (0, arctan 1.1], that is eps in (0, 1.1].
 _ROBIN_PHI_MAX = float(np.arctan(1.1))
@@ -77,15 +78,13 @@ def validate_frame(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray
     Raises NotInjective when the stacked matrix is rank deficient and
     NotLagrangian when X*Y - Y*X is too large.
     """
-    xm = np.asarray(x, dtype=complex)
-    ym = np.asarray(y, dtype=complex)
-    if xm.ndim != 2 or xm.shape != ym.shape or xm.shape[0] != xm.shape[1]:
+    xm = _as_finite_matrix(x, "frame")
+    ym = _as_finite_matrix(y, "frame")
+    if xm.shape != ym.shape or xm.shape[0] != xm.shape[1]:
         raise ValidationError(f"frame blocks must be square and matching, got {xm.shape} and {ym.shape}")
     if xm.shape[0] < 1:
         raise ValidationError("frames need dimension at least 1")
     z = np.vstack([xm, ym])
-    if not np.all(np.isfinite(z.view(float))):
-        raise ValidationError("frame contains non-finite entries")
     if rank(z, tol) < xm.shape[1]:
         raise NotInjective("frame columns are numerically dependent")
     lag = frame_pairing(xm, ym, xm, ym)
@@ -136,15 +135,13 @@ def graph_plane(a, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
 
 def horizontal_plane(n: int) -> LagrangianPlane:
     """The plane C^n + 0, the graph of the zero matrix."""
-    if n < 1:
-        raise ValidationError("dimension must be at least 1")
+    n = _as_dimension(n)
     return LagrangianPlane(np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
 
 
 def vertical_plane(n: int) -> LagrangianPlane:
     """The plane 0 + C^n (not a graph)."""
-    if n < 1:
-        raise ValidationError("dimension must be at least 1")
+    n = _as_dimension(n)
     return LagrangianPlane(np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex))
 
 
@@ -159,8 +156,7 @@ def frame_pairing(x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray
 
 def pairing_matrix(l1: LagrangianPlane, l2: LagrangianPlane) -> np.ndarray:
     """The n x n pairing X1*Y2 - Y1*X2 whose kernel represents L1 ∩ L2."""
-    if l1.n != l2.n:
-        raise ValidationError("planes live in different dimensions")
+    _same_dimension((l1, l2), "pairing_matrix")
     return frame_pairing(l1.x, l1.y, l2.x, l2.y)
 
 
@@ -195,8 +191,8 @@ def apply_symplectic(s, plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_T
 
 
 def _same_dimension(planes, what: str) -> list:
-    """The planes as a list, refused unless there is at least one and all
-    share one dimension."""
+    """The planes (or paths) as a list, refused unless there is at least
+    one and all share one dimension."""
     planes = list(planes)
     if not planes:
         raise ValidationError(f"{what} needs at least one plane")
@@ -343,7 +339,8 @@ def random_plane_with_mul(n: int, mul_dim: int, seed=None, tol: TolerancePolicy 
     Built from a random orthonormal splitting C^n = D + D^perp and a random
     Hermitian operator on D; mul_dim = dim D^perp by construction.
     """
-    if not 0 <= mul_dim <= n:
+    n = _as_dimension(n)
+    if _as_dimension(mul_dim, "mul_dim", 0) > n:
         raise ValidationError(f"mul_dim must lie in [0, {n}], got {mul_dim}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -394,9 +391,7 @@ def transversal_normalization(la: LagrangianPlane, lb: LagrangianPlane,
     A reference route only, read by ``test_reduction_graphs_match_normalization``
     and ``test_transversal_normalization_sends_pair_to_axes``.
     """
-    if la.n != lb.n:
-        raise ValidationError("planes live in different dimensions")
-    n = la.n
+    n = _same_dimension((la, lb), "transversal_normalization")[0].n
     j = standard_form(n)
     a = la.stacked
     b = lb.stacked
@@ -412,11 +407,13 @@ def transversal_normalization(la: LagrangianPlane, lb: LagrangianPlane,
 
 def direct_sum_planes(l1: LagrangianPlane, l2: LagrangianPlane,
                       tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
-    """Direct sum of planes under the fixed block interleaving."""
+    """Direct sum of planes under the fixed block interleaving.  The sum of
+    two canonical frames is Lagrangian and orthonormal, so it is not
+    checked again; ``tol`` is accepted and unused."""
     x = np.zeros((l1.n + l2.n, l1.n + l2.n), dtype=complex)
     y = np.zeros_like(x)
     x[: l1.n, : l1.n] = l1.x
     x[l1.n:, l1.n:] = l2.x
     y[: l1.n, : l1.n] = l1.y
     y[l1.n:, l1.n:] = l2.y
-    return plane_from_frame(x, y, tol)
+    return trusted_plane(np.vstack([x, y]))

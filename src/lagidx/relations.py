@@ -17,12 +17,13 @@ from .errors import RankDeficient, ValidationError
 from .hermitian import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _as_projector,
     as_hermitian,
     count_above_cutoff,
     hermitian_part,
     kernel_basis,
 )
-from .planes import LagrangianPlane, plane_from_frame
+from .planes import LagrangianPlane, _same_dimension, plane_from_frame
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,7 @@ def difference(l: LagrangianPlane, m: LagrangianPlane, tol: TolerancePolicy = DE
     check and Lagrangian because both planes are, so the frame is neither
     validated nor orthonormalized again.
     """
-    if l.n != m.n:
-        raise ValidationError("planes live in different dimensions")
-    n = l.n
+    n = _same_dimension((l, m), "difference")[0].n
     pairs = kernel_basis(np.hstack([l.x, -m.x]), tol)
     s_part, t_part = pairs[:n], pairs[n:]
     vecs = np.vstack([l.x @ s_part, l.y @ s_part - m.y @ t_part])
@@ -98,9 +97,7 @@ def inverse(plane: LagrangianPlane) -> LagrangianPlane:
 def compress(a, p, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Compression P A P of a Hermitian matrix to the range of a projector."""
     am = as_hermitian(a, tol, "matrix to compress")
-    pm = as_hermitian(p, tol, "projector")
+    pm = _as_projector(p, tol, "projector")
     if am.shape != pm.shape:
         raise ValidationError(f"matrix of shape {am.shape} and projector of shape {pm.shape} differ")
-    if np.linalg.norm(pm @ pm - pm) > tol.residual_tol * max(1.0, np.linalg.norm(pm)):
-        raise ValidationError("compression requires an orthogonal projector")
     return hermitian_part(pm @ am @ pm)

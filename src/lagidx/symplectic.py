@@ -14,10 +14,16 @@ from .errors import ValidationError
 from .hermitian import DEFAULT_TOL, TolerancePolicy, random_hermitian
 
 
+def _as_dimension(n, what: str = "dimension", least: int = 1) -> int:
+    """A dimension argument as an int, else ValidationError unless an integer >= ``least``."""
+    if not isinstance(n, (int, np.integer)) or n < least:
+        raise ValidationError(f"{what} must be an integer of at least {least}, got {n!r}")
+    return int(n)
+
+
 def standard_form(n: int) -> np.ndarray:
     """Matrix J of the symplectic form on C^n + C^n."""
-    if n < 1:
-        raise ValidationError(f"half-dimension must be at least 1, got {n}")
+    n = _as_dimension(n)
     j = np.zeros((2 * n, 2 * n), dtype=complex)
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
@@ -90,8 +96,8 @@ def random_symplectic(n: int, seed=None) -> np.ndarray:
     is Hamiltonian and a diagonal Pade approximant r satisfies
     r(x) r(-x) = 1, so r(J H) is exactly symplectic in exact arithmetic,
     as the exponential is; the output passes :func:`is_symplectic` up to
-    floating-point error.  n < 1 raises :class:`ValidationError` before
-    anything is drawn from ``seed``.
+    floating-point error.  An n that is not an integer of at least 1
+    raises :class:`ValidationError` before anything is drawn from ``seed``.
     """
     j = standard_form(n)
     rng = np.random.default_rng(seed)
@@ -104,6 +110,7 @@ def random_symplectic(n: int, seed=None) -> np.ndarray:
 
 def swap_map(n: int) -> np.ndarray:
     """The anti-symplectic involution (x, y) -> (y, x)."""
+    n = _as_dimension(n)
     s = np.zeros((2 * n, 2 * n), dtype=complex)
     s[:n, n:] = np.eye(n)
     s[n:, :n] = np.eye(n)

@@ -290,6 +290,19 @@ def test_reparametrization_keeps_index(rng):
                       lambda t: 1 + 0.6 * np.pi * np.cos(2 * np.pi * t))
 
 
+def test_reparametrize_refuses_a_non_finite_schedule():
+    # A NaN phi passes every comparison of the endpoint and monotonicity
+    # checks; both crossings of the base path would then map to t = 0 and
+    # the index would read 0 instead of -2.
+    path = graph_segment(np.zeros((2, 2)), -np.diag([1.0, 2.0]))
+    assert maslov_index(path, graph_plane(-np.diag([0.5, 1.5]))) == -2
+    for phi, dphi in ((lambda t: np.nan, lambda t: 1.0),
+                      (lambda t: t, lambda t: np.nan),
+                      (lambda t: np.nan if 0.0 < t < 1.0 else t, lambda t: 1.0)):
+        with pytest.raises(ValidationError, match="finite"):
+            reparametrize(path, phi, dphi)
+
+
 def test_custom_path_finite_differences():
     # custom wrapper around an analytic segment reproduces its crossings
     a, b = np.array([[0.0]]), np.array([[1.0]])

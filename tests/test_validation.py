@@ -1,0 +1,122 @@
+"""Each input condition is checked by one helper, called at every public
+entry point that needs it: a finite matrix in any memory layout, planes
+of one dimension, and a dimension argument that is an integer >= 1."""
+
+import numpy as np
+import pytest
+
+from lagidx import (
+    ValidationError,
+    difference,
+    duistermaat,
+    duistermaat_graphs,
+    epsilon_select,
+    extremal_check,
+    find_crossings,
+    graph_plane,
+    horizontal_plane,
+    index_via_resolvent_difference,
+    inertia,
+    intersection_dim,
+    kashiwara,
+    minimal_path,
+    morse_difference_invertible,
+    omega_form,
+    plane_from_frame,
+    planes_equal,
+    random_plane,
+    random_plane_with_mul,
+    random_symplectic,
+    standard_form,
+    swap_map,
+    transversal_companion,
+    transversal_normalization,
+    vertical_plane,
+    zwz_check,
+)
+from lagidx.maslov import crossing_form
+from lagidx.planes import pairing_matrix
+
+RNG = np.random.default_rng(5)
+H = np.array([[1.0, 2j, 0.5], [-2j, 3.0, 1 - 1j], [0.5, 1 + 1j, -1.0]])  # Hermitian, invertible
+B = np.diag([2.0, -1.0, 0.5]).astype(complex)
+PLANE = random_plane(3, RNG)
+
+
+def frames(plane):
+    return plane.x, plane.y
+
+
+# Each op takes a matrix-valued argument builder ``m``: called with the
+# transposed view of a C-ordered array, or with its contiguous copy.
+TRANSPOSED = {
+    "inertia": lambda m: inertia(m(H.T)),
+    "graph_plane": lambda m: frames(graph_plane(m(H.T))),
+    "plane_from_frame": lambda m: frames(plane_from_frame(m(PLANE.x.T.copy().T), m(PLANE.y.T.copy().T))),
+    "morse_difference_invertible": lambda m: morse_difference_invertible(m(H.T), B),
+    "duistermaat_graphs": lambda m: duistermaat_graphs(m(H.T), H, H),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPOSED))
+def test_transposed_view_gives_the_result_of_its_contiguous_copy(name):
+    op = TRANSPOSED[name]
+    view = op(lambda a: a)
+    copy = op(np.ascontiguousarray)
+    if isinstance(view, tuple):
+        assert all(np.array_equal(v, c) for v, c in zip(view, copy))
+    else:
+        assert view == copy
+
+
+L2, M2, K2 = (random_plane(2, RNG) for _ in range(3))
+L3 = random_plane(3, RNG)
+PATH2 = minimal_path(L2, M2)
+
+MISMATCHED = {
+    "pairing_matrix": lambda: pairing_matrix(L2, L3),
+    "intersection_dim": lambda: intersection_dim(L2, L3),
+    "planes_equal": lambda: planes_equal(L2, L3),
+    "duistermaat-omega": lambda: duistermaat(L2, M2, L3, method="omega"),
+    "duistermaat-robin": lambda: duistermaat(L2, M2, L3, method="robin"),
+    "duistermaat-robin-forced-epsilon": lambda: duistermaat(L2, M2, L3, method="robin", epsilon=0.5),
+    "duistermaat-reduce": lambda: duistermaat(L2, M2, L3, method="reduce"),
+    "duistermaat-closed_form": lambda: duistermaat(L2, M2, L3, method="closed_form"),
+    "kashiwara": lambda: kashiwara(L2, M2, L3),
+    "omega_form": lambda: omega_form(L2, M2, L3),
+    "minimal_path": lambda: minimal_path(L2, L3),
+    "difference": lambda: difference(L2, L3),
+    "transversal_normalization": lambda: transversal_normalization(L2, L3),
+    "epsilon_select": lambda: epsilon_select([L2, L3]),
+    "transversal_companion": lambda: transversal_companion([L2, M2, L3]),
+    "index_via_resolvent_difference": lambda: index_via_resolvent_difference(L2, M2, L3),
+    "find_crossings": lambda: find_crossings(PATH2, L3),
+    "crossing_form": lambda: crossing_form(PATH2, 0.5, L3),
+    "zwz_check": lambda: zwz_check(PATH2, K2, L3),
+    "extremal_check": lambda: extremal_check(L2, M2, L3, trials=2, seed=0),
+}
+
+BAD_DIMENSIONS = {
+    "standard_form-2.5": lambda: standard_form(2.5),
+    "swap_map-2.5": lambda: swap_map(2.5),
+    "swap_map-0": lambda: swap_map(0),
+    "horizontal_plane-2.5": lambda: horizontal_plane(2.5),
+    "vertical_plane-2.5": lambda: vertical_plane(2.5),
+    "random_symplectic-2.5": lambda: random_symplectic(2.5, 0),
+    "random_plane-2.5": lambda: random_plane(2.5, 0),
+    "random_plane_with_mul-mul_dim-1.5": lambda: random_plane_with_mul(3, 1.5, 0),
+    "random_plane_with_mul-mul_dim-4": lambda: random_plane_with_mul(3, 4, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(MISMATCHED) + list(BAD_DIMENSIONS))
+def test_mismatched_planes_and_bad_dimensions_raise_validation_error(name):
+    with pytest.raises(ValidationError):
+        {**MISMATCHED, **BAD_DIMENSIONS}[name]()
+
+
+def test_integer_dimensions_are_accepted_as_numpy_integers():
+    n = np.int64(2)
+    assert standard_form(n).shape == swap_map(n).shape == (4, 4)
+    assert planes_equal(horizontal_plane(n), graph_plane(np.zeros((2, 2))))
+    assert intersection_dim(random_plane_with_mul(3, np.int64(1), 0), vertical_plane(3)) == 1
