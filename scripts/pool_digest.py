@@ -5,14 +5,20 @@ Usage (from the root of a checkout):
     python3 scripts/pool_digest.py --seeds 1 2 3 4 5 [--pools triples-small maslov-paths]
 
 Each line holds everything the library decided for one pool item, with
-floats written as hex so that two checkouts compare bit for bit:
+floats written as hex so that two checkouts compare bit for bit.  It
+starts with ``inputs=``, a sha256 of the item's input frames, so that a
+change to the constructors the pool is drawn with (``random_plane``,
+``random_symplectic``, ``minimal_path``, ...) shows as a changed line:
 
-* triples: the omega, robin and reduce reports (value, ``epsilon_used``,
+* triples: the input frames of the three planes and the graph; the
+  omega, robin and reduce reports (value, ``epsilon_used``,
   diagnostics), the closed-form value, the Kashiwara value, the index
   via resolvent differences against the item's graph, the three
   difference frames, the omega value after subtraction and the
   ``decompose`` ``mul_dim``;
-* Maslov paths: every crossing (t, dim, form inertia) and the index.
+* Maslov paths: the input frames of the path (of its base path when
+  reparametrized), of the reference plane and of the path's end planes;
+  every crossing (t, dim, form inertia) and the index.
 
 A typed ``LagidxError`` prints as its class name and message.  Comparing
 two checkouts is then a ``diff`` of their outputs.  The pools come from
@@ -22,6 +28,7 @@ two checkouts is then a ``diff`` of their outputs.  The pools come from
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -51,6 +58,14 @@ def stable(value) -> str:
     return repr(value)
 
 
+def inputs(planes, *arrays) -> str:
+    """sha256 of the frames (X, Y) of the planes and of the further arrays."""
+    h = hashlib.sha256()
+    for a in [*(m for p in planes for m in (p.x, p.y)), *arrays]:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return "inputs=" + h.hexdigest()
+
+
 def attempt(op) -> str:
     try:
         return stable(op())
@@ -71,6 +86,7 @@ def triple_line(item) -> list[str]:
         return [np.vstack([q.x, q.y]) for q in diffs]
 
     return [
+        inputs([*item.planes, item.graph]),
         "omega=" + attempt(lambda: report(lagidx.duistermaat_omega(l1, l2, l3))),
         "robin=" + attempt(lambda: report(lagidx.duistermaat_robin(l1, l2, l3, seed=item.robin_seed))),
         "reduce=" + attempt(lambda: report(lagidx.duistermaat_reduce(l1, l2, l3, seed=item.reduce_seed))),
@@ -89,7 +105,9 @@ def maslov_line(item) -> list[str]:
         found = lagidx.find_crossings(item.path, item.reference)
         return [[c.t, c.dim, c.form_inertia.as_tuple()] for c in found]
 
+    path = getattr(item.path, "base", item.path)
     return [
+        inputs([item.reference, *getattr(item, "ends", ())], path.frames),
         "crossings=" + attempt(crossings),
         "maslov=" + attempt(lambda: lagidx.maslov_index(item.path, item.reference)),
     ]

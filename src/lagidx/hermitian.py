@@ -83,6 +83,20 @@ def _as_finite_matrix(a, what: str) -> np.ndarray:
     return m
 
 
+def _same_shape(matrices, what: str) -> None:
+    """Refuse matrices that do not all share one shape."""
+    shapes = [m.shape for m in matrices]
+    if any(s != shapes[0] for s in shapes):
+        raise ValidationError(f"{what}: matrix shapes {', '.join(map(str, shapes))} differ")
+
+
+def _as_dimension(n, what: str = "dimension", least: int = 1) -> int:
+    """A dimension argument as an int, else ValidationError unless an integer >= ``least``."""
+    if not isinstance(n, (int, np.integer)) or n < least:
+        raise ValidationError(f"{what} must be an integer of at least {least}, got {n!r}")
+    return int(n)
+
+
 def matrix_hash(m: np.ndarray) -> str:
     """Short content hash used in diagnostics."""
     h = hashlib.sha256()
@@ -286,6 +300,8 @@ def range_projector(h, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
 
 def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Gaussian Hermitian matrix with O(scale) entries."""
+    """Gaussian Hermitian matrix with O(scale) entries.  An n that is not
+    an integer of at least 1 raises :class:`ValidationError`."""
+    n = _as_dimension(n)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return hermitian_part(scale * g)

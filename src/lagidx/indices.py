@@ -37,8 +37,10 @@ from .hermitian import (
     DEFAULT_TOL,
     Eigensystem,
     TolerancePolicy,
+    _same_shape,
     as_hermitian,
     checked_hermitian_part,
+    count_above_cutoff,
     hermitian_part,
     trusted_eigh,
     trusted_inertia,
@@ -114,10 +116,15 @@ def omega_form(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane) ->
 
 def duistermaat_omega(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
                       tol: TolerancePolicy = DEFAULT_TOL) -> IndexReport:
-    """Duistermaat index as n_-(W) - n + dim(L1 ∩ L3)."""
-    inr = trusted_inertia(omega_form(l1, l2, l3), tol)
-    dim13 = intersection_dim(l1, l3, tol)
-    value = _check_bounds(inr.n_minus - l1.n + dim13, l1.n, "omega")
+    """Duistermaat index as n_-(W) - n + dim(L1 ∩ L3).
+
+    The form W holds -P(L1, L3) as its (1, 3) block, so dim(L1 ∩ L3),
+    the nullity of P(L1, L3), is read from it."""
+    n = l1.n
+    w = omega_form(l1, l2, l3)
+    inr = trusted_inertia(w, tol)
+    dim13 = n - count_above_cutoff(np.linalg.svd(-w[:n, 2 * n:], compute_uv=False), tol)
+    value = _check_bounds(inr.n_minus - n + dim13, n, "omega")
     return IndexReport(value, "omega", None, {"form_inertia": inr.as_tuple(), "dim13": dim13})
 
 
@@ -170,13 +177,11 @@ def _reduction_graphs(planes, l4: LagrangianPlane, tol: TolerancePolicy) -> np.n
     P(La, L4) = -G_a* has the same singular values, so no pairing is
     decided again here.  An asymmetric B (one of the planes is not
     Lagrangian) raises DualBasisFailure."""
-    x = np.stack([p.x for p in planes])
-    y = np.stack([p.y for p in planes])
-    g = frame_pairing(l4.x, l4.y, x, y)
-    a, w = [0, 0, 1], [1, 2, 2]  # La and W of the three terms
-    p_aw = frame_pairing(x[a], y[a], x[w], y[w])
-    return checked_hermitian_part(p_aw @ np.linalg.solve(g[w], g[a]), tol, DualBasisFailure,
-                                  "reduction graph matrix")
+    g = frame_pairing(l4.x, l4.y, np.stack([p.x for p in planes]), np.stack([p.y for p in planes]))
+    l1, l2, l3 = planes
+    p_aw = np.stack([frame_pairing(la.x, la.y, w.x, w.y) for la, w in ((l1, l2), (l1, l3), (l2, l3))])
+    return checked_hermitian_part(p_aw @ np.linalg.solve(g[[1, 2, 2]], g[[0, 0, 1]]), tol,
+                                  DualBasisFailure, "reduction graph matrix")
 
 
 def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
@@ -208,8 +213,7 @@ def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianP
 def duistermaat_graphs(a, b, c, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Closed form for graph triples: n_-(B-A) - n_-(C-A) + n_-(C-B)."""
     am, bm, cm = (as_hermitian(m, tol) for m in (a, b, c))
-    if not (am.shape == bm.shape == cm.shape):
-        raise ValidationError("graph matrices must share one dimension")
+    _same_shape((am, bm, cm), "duistermaat_graphs")
     return _graphs_index(am, bm, cm, tol)
 
 
@@ -261,8 +265,7 @@ def duistermaat_relation_vertical(a, plane: LagrangianPlane, order: str,
     negative eigenvalues, so no correction of n_- is needed.
     """
     am = as_hermitian(a, tol, "graph matrix")
-    if am.shape[0] != plane.n:
-        raise ValidationError("matrix dimension does not match the plane")
+    _same_shape((am, plane.x), "duistermaat_relation_vertical")
     parts = decompose(plane, tol)
     p = parts.dom_projector
     a_dom = hermitian_part(p @ am @ p)
@@ -278,8 +281,7 @@ def _hermitian_pair(a, b, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]
     matrix built from them afterwards is trusted."""
     am = as_hermitian(a, tol)
     bm = as_hermitian(b, tol)
-    if am.shape != bm.shape:
-        raise ValidationError(f"A and B must share one shape, got {am.shape} and {bm.shape}")
+    _same_shape((am, bm), "Morse formula")
     return am, bm
 
 

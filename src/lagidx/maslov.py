@@ -41,6 +41,7 @@ from .hermitian import (
     Inertia,
     TolerancePolicy,
     _as_projector,
+    _same_shape,
     as_hermitian,
     count_above_cutoff,
     cutoff_for,
@@ -173,8 +174,7 @@ def graph_segment(a, b, tol: TolerancePolicy = DEFAULT_TOL) -> PiecewiseLinearPa
     """Straight segment of graphs from A to B: frames (I; A + t(B - A))."""
     am = as_hermitian(a, tol, "segment start")
     bm = as_hermitian(b, tol, "segment end")
-    if am.shape != bm.shape:
-        raise ValidationError("segment endpoints must share one dimension")
+    _same_shape((am, bm), "graph_segment")
     n = am.shape[0]
     return PiecewiseLinearPath([0.0, 1.0], [np.eye(n)], [am], [np.zeros((n, n))], [bm - am],
                                "graph_segment")
@@ -592,15 +592,16 @@ def _pair_normalization(l0: LagrangianPlane, l1: LagrangianPlane,
     Z = [g, f, b_g, b_f] and Q = diag(I_r, 0).
     """
     n = l0.n
-    j = standard_form(n)
     u, s, vh = np.linalg.svd(pairing_matrix(l0, l1))
     r = count_above_cutoff(s, tol)
     a = l0.stacked @ u
     g, f = a[:, :r], a[:, r:]
     b_g = l1.stacked @ vh[:r].conj().T / s[:r] - g
-    b_f = -j @ f + g @ ((b_g + j @ g).conj().T @ f)
+    # J = [[0, I], [-I, 0]] permutes blocks with signs: J x = (x_2; -x_1).
+    b_f = np.vstack([-f[n:], f[:n]]) + g @ ((b_g + np.vstack([g[n:], -g[:n]])).conj().T @ f)
     z = np.hstack([a, b_g, b_f])
-    residual = np.linalg.norm(z.conj().T @ j @ z - j)
+    zh = z.conj().T
+    residual = np.linalg.norm(np.hstack([-zh[:, n:], zh[:, :n]]) @ z - standard_form(n))
     if residual > tol.residual_tol * max(1.0, np.linalg.norm(z) ** 2):
         raise DualBasisFailure(f"pair normalization residual {residual:.3e} too large")
     q = np.zeros((n, n), dtype=complex)

@@ -25,6 +25,7 @@ from .errors import (
 from .hermitian import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _as_dimension,
     _as_finite_matrix,
     as_hermitian,
     checked_hermitian_part,
@@ -34,7 +35,7 @@ from .hermitian import (
     random_hermitian,
     rank,
 )
-from .symplectic import _as_dimension, random_symplectic, standard_form, swap_map
+from .symplectic import random_symplectic, standard_form
 
 # Robin epsilons are tan(phi) for phi in (0, arctan 1.1], that is eps in (0, 1.1].
 _ROBIN_PHI_MAX = float(np.arctan(1.1))
@@ -324,13 +325,15 @@ def robin_matrices(planes, epsilon, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
 
 def random_plane(n: int, seed=None, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
     """Random Lagrangian plane: a random symplectic image of the horizontal
-    plane, post-composed with the swap involution half of the time."""
+    plane, post-composed with the swap involution half of the time.  The
+    swap exchanges the X and Y blocks of the frame, so it is done by
+    slicing."""
     rng = np.random.default_rng(seed)
     s = random_symplectic(n, rng)
-    z = s[:, :n]
+    x, y = s[:n, :n], s[n:, :n]
     if rng.random() < 0.5:
-        z = swap_map(n) @ z
-    return plane_from_stacked(z, tol)
+        x, y = y, x
+    return plane_from_frame(x, y, tol)
 
 
 def random_plane_with_mul(n: int, mul_dim: int, seed=None, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:

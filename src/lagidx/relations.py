@@ -18,6 +18,7 @@ from .hermitian import (
     DEFAULT_TOL,
     TolerancePolicy,
     _as_projector,
+    _same_shape,
     as_hermitian,
     count_above_cutoff,
     hermitian_part,
@@ -98,6 +99,5 @@ def compress(a, p, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Compression P A P of a Hermitian matrix to the range of a projector."""
     am = as_hermitian(a, tol, "matrix to compress")
     pm = _as_projector(p, tol, "projector")
-    if am.shape != pm.shape:
-        raise ValidationError(f"matrix of shape {am.shape} and projector of shape {pm.shape} differ")
+    _same_shape((am, pm), "compress")
     return hermitian_part(pm @ am @ pm)

@@ -11,14 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .hermitian import DEFAULT_TOL, TolerancePolicy, random_hermitian
-
-
-def _as_dimension(n, what: str = "dimension", least: int = 1) -> int:
-    """A dimension argument as an int, else ValidationError unless an integer >= ``least``."""
-    if not isinstance(n, (int, np.integer)) or n < least:
-        raise ValidationError(f"{what} must be an integer of at least {least}, got {n!r}")
-    return int(n)
+from .hermitian import DEFAULT_TOL, TolerancePolicy, _as_dimension, random_hermitian
 
 
 def standard_form(n: int) -> np.ndarray:
@@ -74,17 +67,37 @@ def _expm_pade13(a: np.ndarray) -> np.ndarray:
 
     Accurate to roundoff while ||a|| <= theta_13 ~ 5.37 in any consistent
     norm, so the caller must bound the norm; there is no scaling and squaring.
+    U and V are summed in place, term by term in the order of the textbook
+    expressions, and b_1, b_0 go on the diagonal, so the result is bit for
+    bit that of ``solve(V - U, V + U)`` with a dense identity.
     """
     b = _PADE13
-    ident = np.eye(a.shape[0], dtype=a.dtype)
+    diag = np.s_[::a.shape[0] + 1]
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    return np.linalg.solve(v - u, v + u)
+    u = b[13] * a6
+    u += b[11] * a4
+    u += b[9] * a2
+    u = a6 @ u
+    u += b[7] * a6
+    u += b[5] * a4
+    u += b[3] * a2
+    u.flat[diag] += b[1]
+    u = a @ u
+    v = b[12] * a6
+    v += b[10] * a4
+    v += b[8] * a2
+    v = a6 @ v
+    v += b[6] * a6
+    v += b[4] * a4
+    v += b[2] * a2
+    v.flat[diag] += b[0]
+    del a2, a4, a6
+    p = v + u
+    v -= u
+    del u
+    return np.linalg.solve(v, p)
 
 
 def random_symplectic(n: int, seed=None) -> np.ndarray:
@@ -98,14 +111,19 @@ def random_symplectic(n: int, seed=None) -> np.ndarray:
     as the exponential is; the output passes :func:`is_symplectic` up to
     floating-point error.  An n that is not an integer of at least 1
     raises :class:`ValidationError` before anything is drawn from ``seed``.
+
+    J is a signed block permutation, so J H = (H_lower; -H_upper) is taken
+    by slicing, bit for bit the product ``standard_form(n) @ H``.
     """
-    j = standard_form(n)
+    n = _as_dimension(n)
     rng = np.random.default_rng(seed)
     h = random_hermitian(2 * n, rng)
     norm = np.linalg.norm(h, 2)
     if norm > 1.5:
         h *= 1.5 / norm
-    return _expm_pade13(j @ h)
+    jh = np.vstack([h[n:], -h[:n]])
+    del h
+    return _expm_pade13(jh)
 
 
 def swap_map(n: int) -> np.ndarray:

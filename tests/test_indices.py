@@ -340,7 +340,7 @@ def test_one_validation_and_one_eigh_per_input(monkeypatch):
 
 def test_morse_formulas_refuse_unequal_shapes():
     for formula in MORSE_FORMULAS.values():
-        with pytest.raises(ValidationError, match="A and B must share one shape"):
+        with pytest.raises(ValidationError, match=r"Morse formula: matrix shapes \(\d, \d\), \(\d, \d\) differ"):
             formula(np.eye(2), np.eye(3))
 
 

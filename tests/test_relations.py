@@ -113,7 +113,7 @@ def test_compress(tol):
     # A projector of another size is a validation error, not a matmul error.
     from lagidx import ValidationError
 
-    with pytest.raises(ValidationError, match="differ"):
+    with pytest.raises(ValidationError, match=r"compress: matrix shapes \(2, 2\), \(3, 3\) differ"):
         compress(a, np.eye(3), tol)
 
 

@@ -13,12 +13,14 @@ from lagidx import (
     is_antisymplectic,
     is_symplectic,
     omega,
+    plane_from_stacked,
     random_plane,
     random_symplectic,
     standard_form,
     swap_map,
 )
 from lagidx.hermitian import random_hermitian
+from lagidx.symplectic import _PADE13
 
 
 def test_omega_basis_pairs():
@@ -90,6 +92,44 @@ def test_random_symplectic_matches_the_reference_exponential():
             s = random_symplectic(n, seed)
             assert np.linalg.norm(s - ref) <= 1e-13 * np.linalg.norm(ref)
             assert is_symplectic(s)
+
+
+def textbook_symplectic(n, rng):
+    """The draw of random_symplectic written out as the textbook expression:
+    a dense J times H, and solve(V - U, V + U) of the [13/13] Pade
+    approximant with a dense identity."""
+    h = random_hermitian(2 * n, rng)
+    norm = np.linalg.norm(h, 2)
+    if norm > 1.5:
+        h *= 1.5 / norm
+    a = standard_form(n) @ h
+    b = _PADE13
+    ident = np.eye(2 * n, dtype=complex)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    return np.linalg.solve(v - u, v + u)
+
+
+def test_seeded_draws_are_bit_identical_to_the_textbook_expressions():
+    swapped = 0
+    for n in (1, 2, 3, 6, 16, 32):
+        for seed in range(5):
+            ref = textbook_symplectic(n, np.random.default_rng(seed))
+            assert random_symplectic(n, seed).tobytes() == ref.tobytes()
+            rng = np.random.default_rng(seed)
+            z = textbook_symplectic(n, rng)[:, :n]
+            if rng.random() < 0.5:
+                z = swap_map(n) @ z
+                swapped += 1
+            ref_plane, plane = plane_from_stacked(z), random_plane(n, seed)
+            assert plane.x.tobytes() == ref_plane.x.tobytes()
+            assert plane.y.tobytes() == ref_plane.y.tobytes()
+    assert 0 < swapped < 30
 
 
 def test_symplectic_group_closure(rng):

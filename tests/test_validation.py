@@ -1,6 +1,7 @@
 """Each input condition is checked by one helper, called at every public
 entry point that needs it: a finite matrix in any memory layout, planes
-of one dimension, and a dimension argument that is an integer >= 1."""
+of one dimension, matrices of one shape, and a dimension argument that
+is an integer >= 1."""
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from lagidx import (
     difference,
     duistermaat,
     duistermaat_graphs,
+    duistermaat_relation_vertical,
     epsilon_select,
     extremal_check,
     find_crossings,
     graph_plane,
+    graph_segment,
     horizontal_plane,
     index_via_resolvent_difference,
     inertia,
@@ -24,6 +27,7 @@ from lagidx import (
     omega_form,
     plane_from_frame,
     planes_equal,
+    random_hermitian,
     random_plane,
     random_plane_with_mul,
     random_symplectic,
@@ -106,6 +110,9 @@ BAD_DIMENSIONS = {
     "random_plane-2.5": lambda: random_plane(2.5, 0),
     "random_plane_with_mul-mul_dim-1.5": lambda: random_plane_with_mul(3, 1.5, 0),
     "random_plane_with_mul-mul_dim-4": lambda: random_plane_with_mul(3, 4, 0),
+    "random_hermitian-2.5": lambda: random_hermitian(2.5, np.random.default_rng(0)),
+    "random_hermitian--1": lambda: random_hermitian(-1, np.random.default_rng(0)),
+    "random_hermitian-0": lambda: random_hermitian(0, np.random.default_rng(0)),
 }
 
 
@@ -113,6 +120,19 @@ BAD_DIMENSIONS = {
 def test_mismatched_planes_and_bad_dimensions_raise_validation_error(name):
     with pytest.raises(ValidationError):
         {**MISMATCHED, **BAD_DIMENSIONS}[name]()
+
+
+UNEQUAL_SHAPES = {
+    "graph_segment": lambda: graph_segment(np.eye(2), np.eye(3)),
+    "duistermaat_graphs": lambda: duistermaat_graphs(H, H, np.eye(2)),
+    "duistermaat_relation_vertical": lambda: duistermaat_relation_vertical(np.eye(2), PLANE, "graph_first"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNEQUAL_SHAPES))
+def test_unequal_matrix_shapes_raise_one_validation_error(name):
+    with pytest.raises(ValidationError, match=r"matrix shapes \(.*\) differ"):
+        UNEQUAL_SHAPES[name]()
 
 
 def test_integer_dimensions_are_accepted_as_numpy_integers():
