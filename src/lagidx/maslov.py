@@ -597,7 +597,8 @@ def _pair_normalization(l0: LagrangianPlane, l1: LagrangianPlane,
     a = l0.stacked @ u
     g, f = a[:, :r], a[:, r:]
     b_g = l1.stacked @ vh[:r].conj().T / s[:r] - g
-    # J = [[0, I], [-I, 0]] permutes blocks with signs: J x = (x_2; -x_1).
+    # J = [[0, I], [-I, 0]] only permutes blocks with signs, so J x = (x_2; -x_1)
+    # and z* J = (-(z_2)*, (z_1)*) are taken by slicing.
     b_f = np.vstack([-f[n:], f[:n]]) + g @ ((b_g + np.vstack([g[n:], -g[:n]])).conj().T @ f)
     z = np.hstack([a, b_g, b_f])
     zh = z.conj().T
