@@ -40,7 +40,6 @@ from .hermitian import (
     _same_shape,
     as_hermitian,
     checked_hermitian_part,
-    count_above_cutoff,
     hermitian_part,
     trusted_eigh,
     trusted_inertia,
@@ -116,15 +115,10 @@ def omega_form(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane) ->
 
 def duistermaat_omega(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
                       tol: TolerancePolicy = DEFAULT_TOL) -> IndexReport:
-    """Duistermaat index as n_-(W) - n + dim(L1 ∩ L3).
-
-    The form W holds -P(L1, L3) as its (1, 3) block, so dim(L1 ∩ L3),
-    the nullity of P(L1, L3), is read from it."""
-    n = l1.n
-    w = omega_form(l1, l2, l3)
-    inr = trusted_inertia(w, tol)
-    dim13 = n - count_above_cutoff(np.linalg.svd(-w[:n, 2 * n:], compute_uv=False), tol)
-    value = _check_bounds(inr.n_minus - n + dim13, n, "omega")
+    """Duistermaat index as n_-(W) - n + dim(L1 ∩ L3)."""
+    inr = trusted_inertia(omega_form(l1, l2, l3), tol)
+    dim13 = intersection_dim(l1, l3, tol)
+    value = _check_bounds(inr.n_minus - l1.n + dim13, l1.n, "omega")
     return IndexReport(value, "omega", None, {"form_inertia": inr.as_tuple(), "dim13": dim13})
 
 

@@ -592,17 +592,15 @@ def _pair_normalization(l0: LagrangianPlane, l1: LagrangianPlane,
     Z = [g, f, b_g, b_f] and Q = diag(I_r, 0).
     """
     n = l0.n
+    j = standard_form(n)
     u, s, vh = np.linalg.svd(pairing_matrix(l0, l1))
     r = count_above_cutoff(s, tol)
     a = l0.stacked @ u
     g, f = a[:, :r], a[:, r:]
     b_g = l1.stacked @ vh[:r].conj().T / s[:r] - g
-    # J = [[0, I], [-I, 0]] only permutes blocks with signs, so J x = (x_2; -x_1)
-    # and z* J = (-(z_2)*, (z_1)*) are taken by slicing.
-    b_f = np.vstack([-f[n:], f[:n]]) + g @ ((b_g + np.vstack([g[n:], -g[:n]])).conj().T @ f)
+    b_f = -j @ f + g @ ((b_g + j @ g).conj().T @ f)
     z = np.hstack([a, b_g, b_f])
-    zh = z.conj().T
-    residual = np.linalg.norm(np.hstack([-zh[:, n:], zh[:, :n]]) @ z - standard_form(n))
+    residual = np.linalg.norm(z.conj().T @ j @ z - j)
     if residual > tol.residual_tol * max(1.0, np.linalg.norm(z) ** 2):
         raise DualBasisFailure(f"pair normalization residual {residual:.3e} too large")
     q = np.zeros((n, n), dtype=complex)

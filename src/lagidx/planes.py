@@ -35,7 +35,7 @@ from .hermitian import (
     random_hermitian,
     rank,
 )
-from .symplectic import random_symplectic, standard_form
+from .symplectic import random_symplectic, standard_form, swap_map
 
 # Robin epsilons are tan(phi) for phi in (0, arctan 1.1], that is eps in (0, 1.1].
 _ROBIN_PHI_MAX = float(np.arctan(1.1))
@@ -325,15 +325,13 @@ def robin_matrices(planes, epsilon, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
 
 def random_plane(n: int, seed=None, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
     """Random Lagrangian plane: a random symplectic image of the horizontal
-    plane, post-composed with the swap involution half of the time.  The
-    swap exchanges the X and Y blocks of the frame, so it is done by
-    slicing."""
+    plane, post-composed with the swap involution half of the time."""
     rng = np.random.default_rng(seed)
     s = random_symplectic(n, rng)
-    x, y = s[:n, :n], s[n:, :n]
+    z = s[:, :n]
     if rng.random() < 0.5:
-        x, y = y, x
-    return plane_from_frame(x, y, tol)
+        z = swap_map(n) @ z
+    return plane_from_stacked(z, tol)
 
 
 def random_plane_with_mul(n: int, mul_dim: int, seed=None, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
