@@ -55,10 +55,10 @@ def kashiwara_index(l1, l2, l3):
 
 
 METHODS = {
-    "omega": lambda triple, seed: lagidx.duistermaat_omega(*triple).value,
-    "robin": lambda triple, seed: lagidx.duistermaat_robin(*triple, seed=seed).value,
-    "reduce": lambda triple, seed: lagidx.duistermaat_reduce(*triple, seed=seed).value,
-    "kashiwara": lambda triple, seed: kashiwara_index(*triple),
+    "omega": lambda triple: lagidx.duistermaat_omega(*triple).value,
+    "robin": lambda triple: lagidx.duistermaat_robin(*triple).value,
+    "reduce": lambda triple: lagidx.duistermaat_reduce(*triple).value,
+    "kashiwara": lambda triple: kashiwara_index(*triple),
 }
 
 
@@ -69,7 +69,7 @@ def sweep(delta: float, seeds) -> dict:
         triple = near_cutoff_triple(seed, delta)
         for name, method in METHODS.items():
             try:
-                outcome = "right" if method(triple, seed) == EXACT else "wrong"
+                outcome = "right" if method(triple) == EXACT else "wrong"
             except lagidx.LagidxError:
                 outcome = "typed"
             counts[name][outcome] += 1

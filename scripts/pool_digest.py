@@ -88,8 +88,8 @@ def triple_line(item) -> list[str]:
     return [
         inputs([*item.planes, item.graph]),
         "omega=" + attempt(lambda: report(lagidx.duistermaat_omega(l1, l2, l3))),
-        "robin=" + attempt(lambda: report(lagidx.duistermaat_robin(l1, l2, l3, seed=item.robin_seed))),
-        "reduce=" + attempt(lambda: report(lagidx.duistermaat_reduce(l1, l2, l3, seed=item.reduce_seed))),
+        "robin=" + attempt(lambda: report(lagidx.duistermaat_robin(l1, l2, l3))),
+        "reduce=" + attempt(lambda: report(lagidx.duistermaat_reduce(l1, l2, l3))),
         "closed_form=" + attempt(lambda: lagidx.duistermaat(l1, l2, l3, method="closed_form").value),
         "kashiwara=" + attempt(lambda: lagidx.kashiwara(l1, l2, l3)),
         "resolvent=" + attempt(lambda: lagidx.index_via_resolvent_difference(l1, l2, item.graph)),

@@ -75,7 +75,6 @@ from .maslov import (
 )
 from .planes import (
     LagrangianPlane,
-    RobinMap,
     apply_symplectic,
     direct_sum_planes,
     epsilon_select,

@@ -156,13 +156,6 @@ def _cutoff(scale, tol: TolerancePolicy):
     return tol.rank_rel_tol * np.maximum(1.0, scale)
 
 
-def cutoff_for(values: np.ndarray, tol: TolerancePolicy):
-    """Zero cutoff of a set of eigen- or singular values; for a stack of
-    sets along the last axis, one cutoff per set.  It decides nothing: the
-    callable-path grid scales its trigger by it."""
-    return _cutoff(np.max(np.abs(values), axis=-1, initial=0.0), tol)
-
-
 def cutoff_margin(values: np.ndarray, tol: TolerancePolicy) -> float:
     """The smallest ratio of a set's least value to the set's cutoff, over
     a stack of sets of nonnegative values along the last axis.  It exceeds
@@ -187,7 +180,7 @@ def count_above_cutoff(values: np.ndarray, tol: TolerancePolicy):
 def _count(v: list[float], tol: TolerancePolicy) -> Inertia:
     """The count rule on one set of values, given as an ascending list of
     plain floats: the eigenvalues of one matrix, or singular values, whose
-    count is n_plus.  The only place a value meets the cutoff.  The
+    count is n_plus.  Every count is decided here.  The
     largest absolute value sits at one of the two ends, and
     each sign count is one binary search.  At n <= 6 that beats
     comparisons over a numpy array, whose cost is per-call overhead."""
@@ -203,7 +196,12 @@ def trusted_inertia(h: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL):
     ``as_hermitian`` or the omega form, and their sums and differences.
 
     A stack of shape (k, n, n) takes one ``eigvalsh`` call and gives a
-    list of k inertias, each with the cutoff of its own matrix."""
+    list of k inertias, each with the cutoff of its own matrix.
+
+    A LAPACK failure raises :class:`EigendecompositionError`, a non-finite
+    eigenvalue :class:`ValidationError`.  The guard reads the eigenvalues,
+    not the entries, and ``eigvalsh`` of [[nan, 0], [0, 1]] is [0, -0]:
+    only the entry-point checks keep NaN out."""
     try:
         w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
@@ -299,9 +297,8 @@ def range_projector(h, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return trusted_eigh(as_hermitian(h, tol), tol).range_projector()
 
 
-def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Gaussian Hermitian matrix with O(scale) entries.  An n that is not
-    an integer of at least 1 raises :class:`ValidationError`."""
+def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian Hermitian matrix with O(1) entries.  An n that is not an
+    integer of at least 1 raises :class:`ValidationError`."""
     n = _as_dimension(n)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return hermitian_part(scale * g)
+    return hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))

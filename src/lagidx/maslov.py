@@ -41,10 +41,10 @@ from .hermitian import (
     Inertia,
     TolerancePolicy,
     _as_projector,
+    _cutoff,
     _same_shape,
     as_hermitian,
     count_above_cutoff,
-    cutoff_for,
     hermitian_part,
     kernel_basis,
     trusted_inertia,
@@ -226,20 +226,18 @@ def _pairing_at(path, m: LagrangianPlane, t: float) -> np.ndarray:
     return frame_pairing(m.x, m.y, *path.frame_at(t))
 
 
-def _golden_minimize(f, lo: float, hi: float, width: float = _REFINE_WIDTH) -> float:
-    invphi = _GOLDEN
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+def _golden_minimize(f, a: float, b: float) -> float:
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > width:
+    while b - a > _REFINE_WIDTH:
         if fc < fd:
             b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
+            c = b - _GOLDEN * (b - a)
             fc = f(c)
         else:
             a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
+            d = a + _GOLDEN * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
 
@@ -509,7 +507,7 @@ def _grid_crossings(path, m: LagrangianPlane, tol: TolerancePolicy) -> list[Cros
     stack = np.stack([_pairing_at(path, m, float(t)) for t in ts])
     svals = np.linalg.svd(stack, compute_uv=False)
     sig = svals[:, -1]
-    cut = cutoff_for(svals.ravel(), tol)
+    cut = _cutoff(svals.max(), tol)
     step = ts[1] - ts[0]
     slope = float(np.max(np.abs(np.diff(sig)))) / step
     trigger = max(2.0 * slope * step, 64.0 * cut)

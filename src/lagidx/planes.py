@@ -10,7 +10,6 @@ canonical frame so that frame-dependent quantities are well defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,14 +62,6 @@ class LagrangianPlane:
 
     def __repr__(self):  # pragma: no cover
         return f"LagrangianPlane(n={self.n})"
-
-
-@dataclass(frozen=True)
-class RobinMap:
-    """Hermitian matrix Y (X + eps Y)^-1 of a plane at a given epsilon."""
-
-    epsilon: float
-    matrix: np.ndarray
 
 
 def validate_frame(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -277,14 +268,13 @@ def epsilon_select(planes, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, f
     return eps1, eps2, margin
 
 
-def robin_map(plane: LagrangianPlane, epsilon: float, tol: TolerancePolicy = DEFAULT_TOL) -> RobinMap:
+def robin_map(plane: LagrangianPlane, epsilon: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Robin map R = Y (X + eps Y)^-1 of the canonical frame.
 
     Hermitian for real eps outside a finite exceptional set; the result is
     symmetrized after an asymmetry check, and an X + eps Y of count-rule
-    rank below n raises SingularEpsilon.
-    """
-    return RobinMap(float(epsilon), checked_robin_matrices((plane,), epsilon, tol)[0])
+    rank below n raises SingularEpsilon."""
+    return checked_robin_matrices((plane,), epsilon, tol)[0]
 
 
 def checked_robin_matrices(planes, epsilon: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -406,15 +396,11 @@ def transversal_normalization(la: LagrangianPlane, lb: LagrangianPlane,
     return z
 
 
-def direct_sum_planes(l1: LagrangianPlane, l2: LagrangianPlane,
-                      tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
+def direct_sum_planes(l1: LagrangianPlane, l2: LagrangianPlane) -> LagrangianPlane:
     """Direct sum of planes under the fixed block interleaving.  The sum of
-    two canonical frames is Lagrangian and orthonormal, so it is not
-    checked again; ``tol`` is accepted and unused."""
-    x = np.zeros((l1.n + l2.n, l1.n + l2.n), dtype=complex)
-    y = np.zeros_like(x)
-    x[: l1.n, : l1.n] = l1.x
-    x[l1.n:, l1.n:] = l2.x
-    y[: l1.n, : l1.n] = l1.y
-    y[l1.n:, l1.n:] = l2.y
-    return trusted_plane(np.vstack([x, y]))
+    two canonical frames is Lagrangian and orthonormal, so it is not checked again."""
+    k, n = l1.n, l1.n + l2.n
+    z = np.zeros((2 * n, n), dtype=complex)
+    z[:k, :k], z[k:n, k:] = l1.x, l2.x
+    z[n:n + k, :k], z[n + k:, k:] = l1.y, l2.y
+    return trusted_plane(z)

@@ -84,10 +84,11 @@ def check_normalization(n, rng, tol):
     a = random_hermitian(n, rng)
     expected = inertia(a, tol).n_minus
     g0, ga, gv = horizontal_plane(n), graph_plane(a, tol), vertical_plane(n)
+    rng.integers(2 ** 31), rng.integers(2 ** 31)  # unused; kept so that seeded trials reproduce
     values = {
         "omega": duistermaat_omega(g0, ga, gv, tol).value,
-        "robin": duistermaat_robin(g0, ga, gv, tol, int(rng.integers(2 ** 31))).value,
-        "reduce": duistermaat_reduce(g0, ga, gv, tol, int(rng.integers(2 ** 31))).value,
+        "robin": duistermaat_robin(g0, ga, gv, tol).value,
+        "reduce": duistermaat_reduce(g0, ga, gv, tol).value,
     }
     ok = all(v == expected for v in values.values())
     return ok, {"expected": expected, **values}
@@ -120,9 +121,10 @@ def check_bounds(n, rng, tol):
 
 def check_method_agreement(n, rng, tol):
     triple = _sample_triple(n, rng, tol)
+    rng.integers(2 ** 31), rng.integers(2 ** 31)  # unused; kept so that seeded trials reproduce
     vo = duistermaat_omega(*triple, tol).value
-    vr = duistermaat_robin(*triple, tol, int(rng.integers(2 ** 31))).value
-    vd = duistermaat_reduce(*triple, tol, int(rng.integers(2 ** 31))).value
+    vr = duistermaat_robin(*triple, tol).value
+    vd = duistermaat_reduce(*triple, tol).value
     return vo == vr == vd, {"omega": vo, "robin": vr, "reduce": vd}
 
 
@@ -174,7 +176,7 @@ def check_additivity(n, rng, tol):
     b = int(rng.integers(1, 4))
     first = _sample_triple(a, rng, tol)
     second = _sample_triple(b, rng, tol)
-    summed = _iD(*(direct_sum_planes(p, q, tol) for p, q in zip(first, second)), tol)
+    summed = _iD(*(direct_sum_planes(p, q) for p, q in zip(first, second)), tol)
     parts = _iD(*first, tol) + _iD(*second, tol)
     return summed == parts, {"sum": summed, "parts": parts, "dims": (a, b)}
 
@@ -255,8 +257,8 @@ def check_omega_kernel(n, rng, tol):
     if n > 1 and rng.random() < 0.5:
         split = int(rng.integers(1, n))
         shared = sample_plane(split, rng, tol)
-        l1 = direct_sum_planes(shared, sample_plane(n - split, rng, tol), tol)
-        l2 = direct_sum_planes(shared, sample_plane(n - split, rng, tol), tol)
+        l1 = direct_sum_planes(shared, sample_plane(n - split, rng, tol))
+        l2 = direct_sum_planes(shared, sample_plane(n - split, rng, tol))
         l3 = sample_plane(n, rng, tol)
     else:
         l1, l2, l3 = _sample_triple(n, rng, tol)
@@ -301,8 +303,8 @@ def check_truth_table(n, rng, tol):
     ok = True
     for scalars in permutations((0.0, 1.0, 2.0)):
         planes = tuple(graph_plane(np.array([[s]]), tol) for s in scalars)
-        seed = int(rng.integers(2 ** 31))
-        values = {method: duistermaat(*planes, tol=tol, method=method, seed=seed).value
+        rng.integers(2 ** 31)  # unused; kept so that seeded trials reproduce
+        values = {method: duistermaat(*planes, tol=tol, method=method).value
                   for method in ("omega", "robin", "reduce", "closed_form")}
         got[scalars] = values
         ok = ok and all(v == expected[scalars] for v in values.values())
@@ -586,5 +588,5 @@ def run_suite(suite: str, n_values=(1, 2, 3, 4, 5, 6), trials: int = 25, seed: i
 
 
 def run_suites(suites, n_values=(1, 2, 3, 4, 5, 6), trials: int = 25, seed: int = 0,
-               tol: TolerancePolicy = DEFAULT_TOL, minimize: bool = True) -> list[SuiteReport]:
-    return [run_suite(s, n_values, trials, seed, tol, minimize) for s in suites]
+               tol: TolerancePolicy = DEFAULT_TOL) -> list[SuiteReport]:
+    return [run_suite(s, n_values, trials, seed, tol) for s in suites]

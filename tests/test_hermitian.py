@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lagidx import (
+    EigendecompositionError,
     Inertia,
     NotHermitian,
     TolerancePolicy,
@@ -18,6 +19,7 @@ from lagidx.hermitian import (
     checked_hermitian_part,
     count_above_cutoff,
     hermitian_part,
+    trusted_eigh,
     trusted_inertia,
 )
 
@@ -205,6 +207,16 @@ def test_trusted_inertia_stack_with_zero_matrices(tol):
     assert inertias == [trusted_inertia(m, tol) for m in stack]
     assert [i.as_tuple() for i in inertias] == [
         (0, 3, 0), (0, 2, 1), (0, 3, 0), (1, 2, 0), (2, 0, 1), (0, 3, 0)]
+
+
+@pytest.mark.parametrize("decompose", [trusted_inertia, trusted_eigh])
+def test_trusted_decompositions_raise_typed_errors(decompose, tol):
+    # LAPACK fails on an all-NaN matrix; on this NaN pair it returns NaN
+    # eigenvalues, which the finiteness guard refuses.
+    with pytest.raises(EigendecompositionError):
+        decompose(np.full((3, 3), np.nan), tol)
+    with pytest.raises(ValidationError):
+        decompose(np.array([[1.0, np.nan], [np.nan, 1.0]]), tol)
 
 
 def test_checked_hermitian_part_names_the_first_failing_entry(tol):

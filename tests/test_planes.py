@@ -114,11 +114,11 @@ def test_frame_pairing_stacks_and_vanishes_on_lagrangian_frames(rng, tol):
 
 def test_robin_map_examples(tol):
     n = 2
-    assert np.allclose(robin_map(horizontal_plane(n), 0.7).matrix, np.zeros((n, n)), atol=1e-12)
-    r = robin_map(vertical_plane(n), 0.25).matrix
+    assert np.allclose(robin_map(horizontal_plane(n), 0.7), np.zeros((n, n)), atol=1e-12)
+    r = robin_map(vertical_plane(n), 0.25)
     assert np.allclose(r, 4.0 * np.eye(n), atol=1e-9)
     a = np.array([[1.5, 0.3 - 1j], [0.3 + 1j, -0.7]])
-    assert np.allclose(robin_map(graph_plane(a), 0.0).matrix, a, atol=1e-9)
+    assert np.allclose(robin_map(graph_plane(a), 0.0), a, atol=1e-9)
 
 
 def test_robin_hermitian_identity(rng, tol):
@@ -126,7 +126,7 @@ def test_robin_hermitian_identity(rng, tol):
     for n in (1, 2, 5):
         plane = random_plane(n, rng)
         eps, _, _ = epsilon_select([plane], tol)
-        r = robin_map(plane, eps, tol).matrix
+        r = robin_map(plane, eps, tol)
         t = plane.x + eps * plane.y
         lhs = t.conj().T @ r @ t
         rhs = plane.x.conj().T @ plane.y + eps * plane.y.conj().T @ plane.y
@@ -137,10 +137,10 @@ def test_robin_frame_independence(rng, tol):
     for n in (2, 3):
         plane = random_plane(n, rng)
         eps, _, _ = epsilon_select([plane], tol)
-        base = robin_map(plane, eps, tol).matrix
+        base = robin_map(plane, eps, tol)
         c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         re_framed = plane_from_frame(plane.x @ c, plane.y @ c, tol)
-        other = robin_map(re_framed, eps, tol).matrix
+        other = robin_map(re_framed, eps, tol)
         assert np.linalg.norm(base - other) <= tol.residual_tol * max(1.0, np.linalg.norm(base))
 
 
