@@ -49,13 +49,13 @@ from .planes import (
     _same_dimension,
     checked_robin_matrices,
     epsilon_select,
-    frame_pairing,
     intersection_dim,
     robin_matrices,
     transversal_companion,
     vertical_plane,
 )
 from .relations import decompose, difference, inverse
+from .symplectic import frame_pairing
 
 
 @dataclass(frozen=True)

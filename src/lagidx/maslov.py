@@ -52,13 +52,13 @@ from .hermitian import (
 from .indices import VerificationRecord, duistermaat_omega
 from .planes import (
     LagrangianPlane,
+    _check_frames,
     _same_dimension,
-    frame_pairing,
     pairing_matrix,
     plane_from_frame,
     random_plane,
 )
-from .symplectic import standard_form
+from .symplectic import _form_residual, frame_pairing, standard_form
 
 # Sampling of frame-callable paths (crossings, monotonicity, derivative)
 # and of reparametrization schedules.
@@ -502,9 +502,24 @@ def _restricted_inertias(path: PiecewiseLinearPath, meets: list[float], at: list
     return [[inertias[i, k] for k in ks] for i, ks in enumerate(sides)]
 
 
+def _sampled_frames(path, ts: list[float], tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """The frames of a callable path at ts, as stacks of X and of Y blocks,
+    checked as :func:`validate_frame` checks one frame: finite n x n
+    blocks (checked before any arithmetic), injective and Lagrangian."""
+    n = path.n
+    frames = [path.frame_at(t) for t in ts]
+    if any(x.shape != (n, n) or y.shape != (n, n) for x, y in frames):
+        raise ValidationError(f"path frames must be two {n} x {n} blocks")
+    xs, ys = (np.stack(blocks) for blocks in zip(*frames))
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValidationError("path frames must have finite entries")
+    _check_frames(xs, ys, tol)
+    return xs, ys
+
+
 def _grid_crossings(path, m: LagrangianPlane, tol: TolerancePolicy) -> list[Crossing]:
     ts = np.linspace(0.0, 1.0, _GRID)
-    stack = np.stack([_pairing_at(path, m, float(t)) for t in ts])
+    stack = frame_pairing(m.x, m.y, *_sampled_frames(path, ts.tolist(), tol))
     svals = np.linalg.svd(stack, compute_uv=False)
     sig = svals[:, -1]
     cut = _cutoff(svals.max(), tol)
@@ -598,7 +613,7 @@ def _pair_normalization(l0: LagrangianPlane, l1: LagrangianPlane,
     b_g = l1.stacked @ vh[:r].conj().T / s[:r] - g
     b_f = -j @ f + g @ ((b_g + j @ g).conj().T @ f)
     z = np.hstack([a, b_g, b_f])
-    residual = np.linalg.norm(z.conj().T @ j @ z - j)
+    residual = _form_residual(z)
     if residual > tol.residual_tol * max(1.0, np.linalg.norm(z) ** 2):
         raise DualBasisFailure(f"pair normalization residual {residual:.3e} too large")
     q = np.zeros((n, n), dtype=complex)

@@ -34,7 +34,7 @@ from .hermitian import (
     random_hermitian,
     rank,
 )
-from .symplectic import random_symplectic, standard_form, swap_map
+from .symplectic import _embedding_indices, frame_pairing, random_symplectic, standard_form, swap_map
 
 # Robin epsilons are tan(phi) for phi in (0, arctan 1.1], that is eps in (0, 1.1].
 _ROBIN_PHI_MAX = float(np.arctan(1.1))
@@ -76,14 +76,22 @@ def validate_frame(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray
         raise ValidationError(f"frame blocks must be square and matching, got {xm.shape} and {ym.shape}")
     if xm.shape[0] < 1:
         raise ValidationError("frames need dimension at least 1")
-    z = np.vstack([xm, ym])
-    if rank(z, tol) < xm.shape[1]:
-        raise NotInjective("frame columns are numerically dependent")
-    lag = frame_pairing(xm, ym, xm, ym)
-    bound = tol.residual_tol * (np.linalg.norm(xm) * np.linalg.norm(ym) + 1.0)
-    if np.linalg.norm(lag) > bound:
-        raise NotLagrangian(f"Lagrangian residual {np.linalg.norm(lag):.3e} exceeds {bound:.3e}")
+    _check_frames(xm[None], ym[None], tol)
     return xm, ym
+
+
+def _check_frames(xs: np.ndarray, ys: np.ndarray, tol: TolerancePolicy) -> None:
+    """Refuse stacks of finite n x n frame blocks in which some frame
+    (X; Y) is rank deficient (NotInjective) or has a Lagrangian residual
+    ||X*Y - Y*X|| above residual_tol * (||X|| ||Y|| + 1) (NotLagrangian)."""
+    ranks = count_above_cutoff(np.linalg.svd(np.concatenate([xs, ys], axis=-2), compute_uv=False), tol)
+    if min(ranks) < xs.shape[-1]:
+        raise NotInjective("frame columns are numerically dependent")
+    residual, x_norm, y_norm = np.linalg.norm(np.stack([frame_pairing(xs, ys, xs, ys), xs, ys]), axis=(-2, -1))
+    bound = tol.residual_tol * (x_norm * y_norm + 1.0)
+    if (residual > bound).any():
+        k = int(np.argmax(residual - bound))
+        raise NotLagrangian(f"Lagrangian residual {residual[k]:.3e} exceeds {bound[k]:.3e}")
 
 
 def trusted_plane(z: np.ndarray) -> LagrangianPlane:
@@ -135,15 +143,6 @@ def vertical_plane(n: int) -> LagrangianPlane:
     """The plane 0 + C^n (not a graph)."""
     n = _as_dimension(n)
     return LagrangianPlane(np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex))
-
-
-def frame_pairing(x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """The symplectic pairing X1*Y2 - Y1*X2 of the frames (X1; Y1) and
-    (X2; Y2); for stacks of blocks, of each pair of frames along the
-    leading axes, which broadcast.  The only place the pairing is
-    written: it vanishes on a Lagrangian frame paired with itself, and
-    its kernel represents the intersection of two planes."""
-    return x1.conj().swapaxes(-1, -2) @ y2 - y1.conj().swapaxes(-1, -2) @ x2
 
 
 def pairing_matrix(l1: LagrangianPlane, l2: LagrangianPlane) -> np.ndarray:
@@ -397,10 +396,10 @@ def transversal_normalization(la: LagrangianPlane, lb: LagrangianPlane,
 
 
 def direct_sum_planes(l1: LagrangianPlane, l2: LagrangianPlane) -> LagrangianPlane:
-    """Direct sum of planes under the fixed block interleaving.  The sum of
-    two canonical frames is Lagrangian and orthonormal, so it is not checked again."""
-    k, n = l1.n, l1.n + l2.n
-    z = np.zeros((2 * n, n), dtype=complex)
-    z[:k, :k], z[k:n, k:] = l1.x, l2.x
-    z[n:n + k, :k], z[n + k:, k:] = l1.y, l2.y
-    return trusted_plane(z)
+    """Direct sum of planes: the two canonical frames on a block diagonal,
+    rows interleaved as in :func:`direct_sum_maps`.  The sum of two
+    canonical frames is Lagrangian and orthonormal, so it is not checked again."""
+    a, b = l1.n, l2.n
+    z = np.zeros((2 * (a + b), a + b), dtype=complex)
+    z[:2 * a, :a], z[2 * a:, a:] = l1.stacked, l2.stacked
+    return trusted_plane(z[_embedding_indices(a, b)])

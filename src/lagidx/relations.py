@@ -17,6 +17,7 @@ from .errors import RankDeficient, ValidationError
 from .hermitian import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _as_dimension,
     _as_projector,
     _same_shape,
     as_hermitian,
@@ -56,16 +57,19 @@ def decompose(plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> Rel
 def reconstruct(parts: RelationParts, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
     """Plane {(x, Lx + y) : x in dom, y in mul} rebuilt from its parts."""
     p = as_hermitian(parts.dom_projector, tol, "domain projector")
+    op = np.asarray(parts.operator_part)
+    _same_shape((p, op), "reconstruct")
+    mul_dim = _as_dimension(parts.mul_dim, "mul_dim", 0)
     w, v = np.linalg.eigh(p)
     if np.any(np.abs(w * (1.0 - w)) > tol.residual_tol):
         raise ValidationError("dom_projector is not a projector")
     u_mul = v[:, w < 0.5]
     u_dom = v[:, w >= 0.5]
-    if u_mul.shape[1] != parts.mul_dim:
+    if u_mul.shape[1] != mul_dim:
         raise ValidationError("mul_dim does not match the projector rank")
     n = p.shape[0]
-    x = np.hstack([u_dom, np.zeros((n, parts.mul_dim))])
-    y = np.hstack([parts.operator_part @ u_dom, u_mul])
+    x = np.hstack([u_dom, np.zeros((n, mul_dim))])
+    y = np.hstack([op @ u_dom, u_mul])
     return plane_from_frame(x, y, tol)
 
 

@@ -11,6 +11,7 @@ shrunk best-effort by halving the dimension and re-sampling, seeded by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, wraps
 from itertools import permutations
 
 import numpy as np
@@ -77,6 +78,16 @@ def _iD(l1, l2, l3, tol):
     return duistermaat_omega(l1, l2, l3, tol).value
 
 
+def _dims(l1, l2, l3, tol):
+    """dim(L1 ∩ L2), dim(L1 ∩ L3) and dim(L2 ∩ L3)."""
+    return tuple(intersection_dim(p, q, tol) for p, q in ((l1, l2), (l1, l3), (l2, l3)))
+
+
+def _holds(rec):
+    """A library VerificationRecord as a check's (ok, details)."""
+    return rec.holds, rec.details | {"lhs": rec.lhs, "rhs": rec.rhs}
+
+
 # --- individual checks: (n, rng, tol) -> (ok, details) ---------------------
 
 
@@ -84,7 +95,6 @@ def check_normalization(n, rng, tol):
     a = random_hermitian(n, rng)
     expected = inertia(a, tol).n_minus
     g0, ga, gv = horizontal_plane(n), graph_plane(a, tol), vertical_plane(n)
-    rng.integers(2 ** 31), rng.integers(2 ** 31)  # unused; kept so that seeded trials reproduce
     values = {
         "omega": duistermaat_omega(g0, ga, gv, tol).value,
         "robin": duistermaat_robin(g0, ga, gv, tol).value,
@@ -121,7 +131,6 @@ def check_bounds(n, rng, tol):
 
 def check_method_agreement(n, rng, tol):
     triple = _sample_triple(n, rng, tol)
-    rng.integers(2 ** 31), rng.integers(2 ** 31)  # unused; kept so that seeded trials reproduce
     vo = duistermaat_omega(*triple, tol).value
     vr = duistermaat_robin(*triple, tol).value
     vd = duistermaat_reduce(*triple, tol).value
@@ -162,9 +171,7 @@ def check_swap13(n, rng, tol):
 
 def check_cyclic_shifts(n, rng, tol):
     l1, l2, l3 = _sample_triple(n, rng, tol)
-    d12 = intersection_dim(l1, l2, tol)
-    d13 = intersection_dim(l1, l3, tol)
-    d23 = intersection_dim(l2, l3, tol)
+    d12, d13, d23 = _dims(l1, l2, l3, tol)
     base = _iD(l1, l2, l3, tol) - d13
     shifted1 = _iD(l3, l1, l2, tol) - d23
     shifted2 = _iD(l2, l3, l1, tol) - d12
@@ -204,20 +211,12 @@ def check_inversion(n, rng, tol):
     return lhs == rhs, {"lhs": lhs, "rhs": rhs}
 
 
-def check_berndt_luger(n, rng, tol):
+def check_relation_vertical(order, n, rng, tol):
     a = random_hermitian(n, rng)
     plane = sample_plane(n, rng, tol)
-    closed = duistermaat_relation_vertical(a, plane, "graph_first", tol)
-    direct = _iD(graph_plane(a, tol), plane, vertical_plane(n), tol)
-    return closed == direct, {"closed_form": closed, "direct": direct,
-                              "mul_dim": decompose(plane, tol).mul_dim}
-
-
-def check_luger_berndt(n, rng, tol):
-    a = random_hermitian(n, rng)
-    plane = sample_plane(n, rng, tol)
-    closed = duistermaat_relation_vertical(a, plane, "plane_first", tol)
-    direct = _iD(plane, graph_plane(a, tol), vertical_plane(n), tol)
+    closed = duistermaat_relation_vertical(a, plane, order, tol)
+    pair = (graph_plane(a, tol), plane) if order == "graph_first" else (plane, graph_plane(a, tol))
+    direct = _iD(*pair, vertical_plane(n), tol)
     return closed == direct, {"closed_form": closed, "direct": direct,
                               "mul_dim": decompose(plane, tol).mul_dim}
 
@@ -244,9 +243,7 @@ def check_kashiwara_correspondence(n, rng, tol):
     l1, l2, l3 = _sample_triple(n, rng, tol)
     s = kashiwara(l1, l2, l3, tol)
     from_dui = _iD(l2, l1, l3, tol) - _iD(l3, l1, l2, tol)
-    d12 = intersection_dim(l1, l2, tol)
-    d13 = intersection_dim(l1, l3, tol)
-    d23 = intersection_dim(l2, l3, tol)
+    d12, d13, d23 = _dims(l1, l2, l3, tol)
     twice = n - d12 + d13 - d23 - s
     dui_back = twice // 2 if twice % 2 == 0 else None
     ok = s == from_dui and dui_back == _iD(l1, l2, l3, tol)
@@ -263,14 +260,12 @@ def check_omega_kernel(n, rng, tol):
     else:
         l1, l2, l3 = _sample_triple(n, rng, tol)
     nullity = inertia(omega_form(l1, l2, l3), tol).n_zero
-    dims = (intersection_dim(l1, l2, tol) + intersection_dim(l1, l3, tol)
-            + intersection_dim(l2, l3, tol))
+    dims = sum(_dims(l1, l2, l3, tol))
     return nullity == dims, {"nullity": nullity, "pairwise_sum": dims}
 
 
 def check_factorization(n, rng, tol):
     l1, l2, l3 = _sample_triple(n, rng, tol)
-    rng.integers(2 ** 31)  # unused; kept so that seeded trials reproduce
     eps, _, _ = epsilon_select((l1, l2, l3), tol)
     w = omega_form(l1, l2, l3)
     r1, r2, r3 = robin_matrices((l1, l2, l3), eps, tol)
@@ -303,7 +298,6 @@ def check_truth_table(n, rng, tol):
     ok = True
     for scalars in permutations((0.0, 1.0, 2.0)):
         planes = tuple(graph_plane(np.array([[s]]), tol) for s in scalars)
-        rng.integers(2 ** 31)  # unused; kept so that seeded trials reproduce
         values = {method: duistermaat(*planes, tol=tol, method=method).value
                   for method in ("omega", "robin", "reduce", "closed_form")}
         got[scalars] = values
@@ -322,10 +316,8 @@ def check_morse_general(n, rng, tol):
     return lhs == rhs, {"lhs": lhs, "rhs": rhs}
 
 
-def check_morse_invertible(n, rng, tol):
-    rec = morse_difference_invertible(
-        _invertible_hermitian(n, rng, tol), _invertible_hermitian(n, rng, tol), tol)
-    return rec.holds, rec.details | {"lhs": rec.lhs, "rhs": rec.rhs}
+def check_invertible_pair(formula, n, rng, tol):
+    return _holds(formula(_invertible_hermitian(n, rng, tol), _invertible_hermitian(n, rng, tol), tol))
 
 
 def _shared_kernel_pair(n, rng, small_kernel, big_kernel):
@@ -340,32 +332,12 @@ def _shared_kernel_pair(n, rng, small_kernel, big_kernel):
     return (v @ np.diag(da) @ v.conj().T, v @ np.diag(db) @ v.conj().T)
 
 
-def check_morse_kernel_case1(n, rng, tol):
+def check_morse_kernel(case, n, rng, tol):
     small = int(rng.integers(0, n))
     big = int(rng.integers(small, n))
-    a, b = _shared_kernel_pair(n, rng, small, big)
-    rec = morse_difference_kernel(a, b, "kerA_in_kerB", tol)
-    return rec.holds, rec.details | {"lhs": rec.lhs, "rhs": rec.rhs}
-
-
-def check_morse_kernel_case2(n, rng, tol):
-    small = int(rng.integers(0, n))
-    big = int(rng.integers(small, n))
-    b, a = _shared_kernel_pair(n, rng, small, big)
-    rec = morse_difference_kernel(a, b, "kerB_in_kerA", tol)
-    return rec.holds, rec.details | {"lhs": rec.lhs, "rhs": rec.rhs}
-
-
-def check_morse_sum(n, rng, tol):
-    rec = morse_sum_invertible(
-        _invertible_hermitian(n, rng, tol), _invertible_hermitian(n, rng, tol), tol)
-    return rec.holds, rec.details | {"lhs": rec.lhs, "rhs": rec.rhs}
-
-
-def check_haynsworth(n, rng, tol):
-    rec = haynsworth_check(
-        _invertible_hermitian(n, rng, tol), _invertible_hermitian(n, rng, tol), tol)
-    return rec.holds, rec.details
+    pair = _shared_kernel_pair(n, rng, small, big)
+    a, b = pair if case == "kerA_in_kerB" else pair[::-1]
+    return _holds(morse_difference_kernel(a, b, case, tol))
 
 
 def _retry_degenerate(draw_and_check):
@@ -377,41 +349,43 @@ def _retry_degenerate(draw_and_check):
                 return False, {"error": str(exc)}
 
 
+def _redrawn(check):
+    """The check, redrawn by ``_retry_degenerate`` on degenerate or unresolved crossings."""
+    @wraps(check)
+    def redrawn(n, rng, tol):
+        return _retry_degenerate(lambda: check(n, rng, tol))
+    return redrawn
+
+
+@_redrawn
 def check_minimal_path(n, rng, tol):
-    def attempt():
-        l0, l1 = sample_plane(n, rng, tol), sample_plane(n, rng, tol)
-        m = sample_plane(n, rng, tol)
-        path = ms.minimal_path(l0, l1, tol)
-        mas = ms.maslov_index(path, m, tol)
-        target = _iD(l0, l1, m, tol)
-        return mas == target, {"maslov": mas, "duistermaat": target}
-
-    return _retry_degenerate(attempt)
+    l0, l1 = sample_plane(n, rng, tol), sample_plane(n, rng, tol)
+    m = sample_plane(n, rng, tol)
+    path = ms.minimal_path(l0, l1, tol)
+    mas = ms.maslov_index(path, m, tol)
+    target = _iD(l0, l1, m, tol)
+    return mas == target, {"maslov": mas, "duistermaat": target}
 
 
+@_redrawn
 def check_zwz(n, rng, tol):
-    def attempt():
-        a = random_hermitian(n, rng)
-        b = random_hermitian(n, rng)
-        m1 = sample_plane(n, rng, tol)
-        m2 = sample_plane(n, rng, tol)
-        rec = ms.zwz_check(ms.graph_segment(a, b, tol), m1, m2, tol)
-        return rec.holds, rec.details
-
-    return _retry_degenerate(attempt)
+    a = random_hermitian(n, rng)
+    b = random_hermitian(n, rng)
+    m1 = sample_plane(n, rng, tol)
+    m2 = sample_plane(n, rng, tol)
+    rec = ms.zwz_check(ms.graph_segment(a, b, tol), m1, m2, tol)
+    return rec.holds, rec.details
 
 
+@_redrawn
 def check_segment_oracle(n, rng, tol):
-    def attempt():
-        a = random_hermitian(n, rng)
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b = a + g @ g.conj().T / n + 0.2 * np.eye(n)
-        c = random_hermitian(n, rng)
-        mas = ms.maslov_index(ms.graph_segment(a, b, tol), graph_plane(c, tol), tol)
-        oracle = inertia(a - c, tol).n_minus - inertia(b - c, tol).n_minus
-        return mas == oracle, {"maslov": mas, "eig_count_oracle": oracle}
-
-    return _retry_degenerate(attempt)
+    a = random_hermitian(n, rng)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = a + g @ g.conj().T / n + 0.2 * np.eye(n)
+    c = random_hermitian(n, rng)
+    mas = ms.maslov_index(ms.graph_segment(a, b, tol), graph_plane(c, tol), tol)
+    oracle = inertia(a - c, tol).n_minus - inertia(b - c, tol).n_minus
+    return mas == oracle, {"maslov": mas, "eig_count_oracle": oracle}
 
 
 def check_endpoint_conventions(n, rng, tol):
@@ -430,14 +404,12 @@ def check_endpoint_conventions(n, rng, tol):
     return values == expected, {"values": values, "expected": expected}
 
 
+@_redrawn
 def check_extremal(n, rng, tol):
-    def attempt():
-        l0, l1 = sample_plane(n, rng, tol), sample_plane(n, rng, tol)
-        m = sample_plane(n, rng, tol)
-        rec = ms.extremal_check(l0, l1, m, trials=2, tol=tol, seed=int(rng.integers(2 ** 31)))
-        return rec.holds, rec.details
-
-    return _retry_degenerate(attempt)
+    l0, l1 = sample_plane(n, rng, tol), sample_plane(n, rng, tol)
+    m = sample_plane(n, rng, tol)
+    rec = ms.extremal_check(l0, l1, m, trials=2, tol=tol, seed=int(rng.integers(2 ** 31)))
+    return rec.holds, rec.details
 
 
 SUITES: dict[str, list] = {
@@ -460,8 +432,8 @@ SUITES: dict[str, list] = {
     "relations": [
         ("subtraction", check_subtraction),
         ("inversion", check_inversion),
-        ("graph-plane-vertical", check_berndt_luger),
-        ("plane-graph-vertical", check_luger_berndt),
+        ("graph-plane-vertical", partial(check_relation_vertical, "graph_first")),
+        ("plane-graph-vertical", partial(check_relation_vertical, "plane_first")),
         ("decompose-reconstruct", check_decompose_reconstruct),
         ("resolvent-difference", check_resolvent_difference),
     ],
@@ -475,11 +447,11 @@ SUITES: dict[str, list] = {
         ("morse-general", check_morse_general),
     ],
     "morse-formulas": [
-        ("invertible-difference", check_morse_invertible),
-        ("kernel-case-1", check_morse_kernel_case1),
-        ("kernel-case-2", check_morse_kernel_case2),
-        ("sum-invertible", check_morse_sum),
-        ("haynsworth", check_haynsworth),
+        ("invertible-difference", partial(check_invertible_pair, morse_difference_invertible)),
+        ("kernel-case-1", partial(check_morse_kernel, "kerA_in_kerB")),
+        ("kernel-case-2", partial(check_morse_kernel, "kerB_in_kerA")),
+        ("sum-invertible", partial(check_invertible_pair, morse_sum_invertible)),
+        ("haynsworth", partial(check_invertible_pair, haynsworth_check)),
     ],
     "maslov-zwz": [
         ("minimal-path", check_minimal_path),

@@ -6,6 +6,8 @@ import pytest
 from lagidx import (
     DegenerateCrossing,
     NoCrossing,
+    NotInjective,
+    NotLagrangian,
     UnresolvedCluster,
     ValidationError,
     apply_symplectic,
@@ -319,6 +321,25 @@ def test_callable_path_near_miss_is_decided_at_its_own_point():
         path = custom_path(
             lambda t, s=scale: (np.eye(1), np.array([[1e-7 + (s / 0.49) * (t - 0.3) ** 2]])), 1)
         assert find_crossings(path, horizontal_plane(1)) == []
+
+
+@pytest.mark.parametrize("frame, error", [
+    (lambda t: (np.eye(2), np.full((2, 2), np.nan) if t > 0.5 else t * np.eye(2)), ValidationError),
+    (lambda t: (np.eye(2), np.array([[np.inf, 0.0], [0.0, t]])), ValidationError),
+    (lambda t: (np.eye(2), t * np.eye(3)), ValidationError),
+    (lambda t: (np.eye(2)[:, :1], t * np.eye(2)[:, :1]), ValidationError),
+    (lambda t: (t * np.eye(2), t * np.eye(2)), NotInjective),
+    (lambda t: (np.eye(2), t * np.array([[0.0, 1.0], [0.0, 0.0]])), NotLagrangian),
+], ids=["nan", "inf", "block-shapes", "not-square", "zero-at-start", "not-lagrangian"])
+def test_callable_path_frames_are_checked_where_sampled(frame, error):
+    # The sampled frames are checked before the pairing SVD, so a bad
+    # frame gives a typed error, not a raw numpy error or a silent index.
+    path = custom_path(frame, 2)
+    reference = graph_plane(np.diag([0.3, 0.7]))
+    with pytest.raises(error):
+        maslov_index(path, reference)
+    with pytest.raises(error):
+        zwz_check(path, reference, horizontal_plane(2))
 
 
 def test_custom_path_reads_its_derivative_fn():

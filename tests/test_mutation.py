@@ -11,8 +11,9 @@ import pytest
 
 import lagidx.indices
 import lagidx.maslov
-import lagidx.planes
+import lagidx.symplectic
 from lagidx import verify
+from lagidx.symplectic import is_symplectic, omega, random_symplectic
 
 
 def run_light(suite):
@@ -57,12 +58,16 @@ def test_maslov_endpoint_swap_is_caught(monkeypatch):
     lambda pair, x1, y1, x2, y2: pair(x1, y1, y2, x2),
 ], ids=["negated", "blocks-swapped"])
 def test_pairing_convention_is_caught(monkeypatch, mutant):
-    original = lagidx.planes.frame_pairing
+    original = lagidx.symplectic.frame_pairing
     holders = [module for name, module in sys.modules.items()
                if name.split(".")[0] == "lagidx"
                and getattr(module, "frame_pairing", None) is original]
-    assert {m.__name__ for m in holders} >= {"lagidx.planes", "lagidx.maslov", "lagidx.indices"}
+    assert {m.__name__ for m in holders} >= {"lagidx.symplectic", "lagidx.planes", "lagidx.maslov",
+                                             "lagidx.indices"}
     for module in holders:
         monkeypatch.setattr(module, "frame_pairing", lambda *blocks: mutant(original, *blocks))
+    # the symplectic predicates and omega read the one pairing too
+    assert not is_symplectic(random_symplectic(2, 0)), "mutated pairing escaped is_symplectic"
+    assert omega([1, 0], [0, 1]) != 1, "mutated pairing escaped omega"
     assert not run_light("axioms").ok, "mutated pairing escaped the axiom suite"
     assert not run_light("maslov-zwz").ok, "mutated pairing escaped the Maslov suite"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lagidx import (
+    ValidationError,
     apply_symplectic,
     compress,
     decompose,
@@ -17,7 +18,7 @@ from lagidx import (
 )
 from lagidx.hermitian import random_hermitian
 from lagidx.planes import validate_frame
-from lagidx.relations import reconstruct
+from lagidx.relations import RelationParts, reconstruct
 
 
 def test_decompose_graph(tol):
@@ -57,6 +58,15 @@ def test_decompose_reconstruct_roundtrip(rng, tol):
             # operator part is supported on the domain
             p = parts.dom_projector
             assert np.allclose(p @ parts.operator_part @ p, parts.operator_part, atol=1e-9)
+
+
+@pytest.mark.parametrize("parts", [
+    RelationParts(np.eye(2), np.eye(3), 0),     # operator part of another size
+    RelationParts(np.diag([1.0, 0.0]), np.zeros((2, 2)), 1.0),  # mul_dim is not an integer
+], ids=["operator-shape", "float-mul-dim"])
+def test_reconstruct_refuses_malformed_parts(parts, tol):
+    with pytest.raises(ValidationError):
+        reconstruct(parts, tol)
 
 
 def test_difference_of_graphs(rng, tol):

@@ -9,15 +9,21 @@ import lagidx
 
 from lagidx import (
     ValidationError,
+    apply_symplectic,
     direct_sum_maps,
+    direct_sum_planes,
+    horizontal_plane,
     is_antisymplectic,
     is_symplectic,
     omega,
+    plane_from_frame,
     plane_from_stacked,
+    planes_equal,
     random_plane,
     random_symplectic,
     standard_form,
     swap_map,
+    vertical_plane,
 )
 from lagidx.hermitian import random_hermitian
 from lagidx.symplectic import _PADE13
@@ -163,6 +169,25 @@ def test_direct_sums(rng):
     assert np.allclose(direct_sum_maps(swap_map(1), swap_map(2)), swap_map(3))
     s = direct_sum_maps(random_symplectic(2, rng), random_symplectic(3, rng))
     assert is_symplectic(s)
+
+
+def test_direct_sums_of_planes_and_of_maps_interleave_alike(rng):
+    # direct_sum_planes and direct_sum_maps share one row interleaving:
+    # the sum of the images of horizontal planes is the image of the
+    # horizontal plane under the sum of the maps.
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            s1, s2 = random_symplectic(a, rng), random_symplectic(b, rng)
+            planes = direct_sum_planes(apply_symplectic(s1, horizontal_plane(a)),
+                                       apply_symplectic(s2, horizontal_plane(b)))
+            maps = apply_symplectic(direct_sum_maps(s1, s2), horizontal_plane(a + b))
+            assert planes_equal(planes, maps)
+    # vertical(1) + horizontal(2) has X = diag(0, 1, 1) and Y = diag(1, 0, 0):
+    # the image of horizontal(3) under the swap on the first factor
+    mixed = direct_sum_planes(vertical_plane(1), horizontal_plane(2))
+    assert planes_equal(mixed, apply_symplectic(direct_sum_maps(swap_map(1), np.eye(4)),
+                                                horizontal_plane(3)))
+    assert planes_equal(mixed, plane_from_frame(np.diag([0.0, 1.0, 1.0]), np.diag([1.0, 0.0, 0.0])))
 
 
 def test_import_does_not_load_scipy_linalg():

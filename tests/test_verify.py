@@ -35,3 +35,24 @@ def test_retry_degenerate_redraws_then_reports():
 def test_decompose_reconstruct_check():
     # The one relations check that no acceptance criterion runs.
     assert verify.run_check("decompose-reconstruct", (1, 2, 3), 4, seed=3) == []
+
+
+def test_check_ids_are_pinned():
+    # Every seeded trial draws from SeedSequence([seed, check_id, n, trial]),
+    # so renumbering a check would move its whole stream.
+    names = [
+        "normalization", "symplectic-invariance", "cocycle", "bounds", "method-agreement",
+        "special-values", "swap12", "swap23", "swap13", "cyclic-shifts", "additivity",
+        "antisymplectic",
+        "subtraction", "inversion", "graph-plane-vertical", "plane-graph-vertical",
+        "decompose-reconstruct", "resolvent-difference",
+        "signature-correspondence", "form-nullity",
+        "closed-form", "truth-table", "morse-general",
+        "invertible-difference", "kernel-case-1", "kernel-case-2", "sum-invertible", "haynsworth",
+        "minimal-path", "zhou-wu-zhu", "segment-oracle", "endpoint-conventions",
+        "extremal-inequality",
+        "omega-factorization",
+    ]
+    assert len(names) == 34
+    assert verify._CHECK_IDS == {name: i for i, name in enumerate(names)}
+    assert list(verify._CHECK_IDS) == names
