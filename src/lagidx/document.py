@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hermitian import DEFAULT_TOL, TolerancePolicy, as_hermitian
-from .maslov import PiecewiseLinearPath, graph_segment, scaled_projector_path
+from .maslov import custom_path, graph_segment, scaled_projector_path
 from .planes import LagrangianPlane, plane_from_frame, validate_frame
 from .symplectic import is_symplectic
 
@@ -133,34 +133,20 @@ class Document:
     def _custom_path(self, name: str, entry: dict):
         grid = entry.get("grid")
         frames = entry.get("frames")
-        if not isinstance(grid, list) or not isinstance(frames, list) or len(grid) != len(frames):
-            raise ValidationError(f"custom path {name!r} needs matching 'grid' and 'frames' lists")
-        if not all(isinstance(t, (int, float)) and not isinstance(t, bool) and 0.0 <= t <= 1.0
-                   for t in grid):
-            raise ValidationError(f"custom path {name!r} grid must hold numbers in [0, 1]")
-        ts = np.asarray(grid, dtype=float)
-        if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 or not np.all(np.diff(ts) > 0):
-            raise ValidationError(f"custom path {name!r} grid must increase from 0.0 to 1.0")
+        if not isinstance(grid, list) or not isinstance(frames, list):
+            raise ValidationError(f"custom path {name!r} needs 'grid' and 'frames' lists")
+        if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in grid):
+            raise ValidationError(f"custom path {name!r} grid must hold numbers")
         xs, ys = [], []
         for i, f in enumerate(frames):
             if not isinstance(f, dict):
                 raise ValidationError(f"{name}.frames[{i}] must be a JSON object")
-            x = decode_matrix(f.get("x"), f"{name}.frames[{i}].x")
-            y = decode_matrix(f.get("y"), f"{name}.frames[{i}].y")
-            validate_frame(x, y, self.tol)
-            if xs and x.shape != xs[0].shape:
-                raise ValidationError(f"{name}.frames[{i}] has shape {x.shape}, expected {xs[0].shape}")
-            xs.append(x)
-            ys.append(y)
-        path = PiecewiseLinearPath.through(ts, xs, ys)
-        # On a piece X*Y - Y*X = w(1 - w)(P - P*) with P = X_k* Y_k+1 - Y_k* X_k+1,
-        # so the midpoint frame decides whether the whole piece is Lagrangian.
-        for k, (lo, hi, *_) in enumerate(path.pieces()):
-            try:
-                validate_frame(*path.frame_at(0.5 * (lo + hi)), self.tol)
-            except ValidationError as exc:
-                raise ValidationError(f"custom path {name!r} between knots {k} and {k + 1}: {exc}") from exc
-        return path
+            xs.append(decode_matrix(f.get("x"), f"{name}.frames[{i}].x"))
+            ys.append(decode_matrix(f.get("y"), f"{name}.frames[{i}].y"))
+        try:
+            return custom_path(grid, xs, ys, self.tol)
+        except ValidationError as exc:
+            raise type(exc)(f"custom path {name!r}: {exc}") from exc
 
 
 def _reject_duplicate_keys(pairs):

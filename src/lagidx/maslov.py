@@ -10,16 +10,17 @@ Only regular paths are supported: at every crossing the restricted form
 must be nondegenerate, otherwise DegenerateCrossing is raised rather than
 silently perturbing the data.
 
-Every built-in path (segments of graphs, scaled projectors, minimal paths
-and document ``custom`` paths) is a PiecewiseLinearPath: its frame is
-linear in t between knots.  On each linear piece the pairing with the
-reference plane is a matrix pencil K(t) = K(s0) + (t - s0) K1, so the
-crossings are the real roots of det K(t) (Robbin and Salamon, "The Maslov
-index for paths", Topology 32, 1993, for crossing forms).  One pass per
+Every constructed path (segments of graphs, scaled projectors, minimal
+paths and ``custom_path`` through knot frames) is a PiecewiseLinearPath:
+its frame is linear in t between knots.  On each linear piece the
+pairing with the reference plane is a matrix pencil
+K(t) = K(s0) + (t - s0) K1, so the crossings are the real roots of
+det K(t) (Robbin and Salamon, "The Maslov index for paths", Topology 32,
+1993, for crossing forms).  One pass per
 path solves the pencils of all its pieces as one stack, so a path takes
 the same number of LAPACK calls whatever its number of pieces and roots.
-Reparametrizations are solved on their base path.  Only paths given by a
-frame callable are sampled, at a fixed 2048 points.
+Reparametrizations are solved on their base path, and any other path
+object is refused, so no Maslov answer comes from sampling.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .hermitian import (
     Inertia,
     TolerancePolicy,
     _as_projector,
-    _cutoff,
     _same_shape,
     as_hermitian,
     count_above_cutoff,
@@ -57,20 +57,17 @@ from .planes import (
     pairing_matrix,
     plane_from_frame,
     random_plane,
+    validate_frame,
 )
 from .symplectic import _form_residual, frame_pairing, standard_form
 
-# Sampling of frame-callable paths (crossings, monotonicity, derivative)
-# and of reparametrization schedules.
-_GRID = 2048
+# Points at which reparametrize checks a schedule phi and its rate.
 _MONOTONE_GRID = 256
-_FD_STEP = 1e-6
-_REFINE_WIDTH = 1e-12
 _CLUSTER_WIDTH = 1e-9
 _ENDPOINT_TOL = 1e-9
 _MAX_RETRIES = 5
-# Golden-section ratio: step of the bracketed minimization, and the
-# rotation that spreads the pencil's probe shifts over a piece.
+# Golden-section ratio: the rotation that spreads the pencil's probe
+# shifts over a piece.
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -92,12 +89,6 @@ class PiecewiseLinearPath:
         self.kind = kind
         self.frames = np.asarray([xs, ys, xds, yds], dtype=complex)
         self.n = self.frames.shape[-1]
-
-    @classmethod
-    def through(cls, knots, xs, ys) -> "PiecewiseLinearPath":
-        """Document ``custom`` path through the frames (xs[k]; ys[k]) at the knots."""
-        h = np.diff(knots)[:, None, None]
-        return cls(knots, xs[:-1], ys[:-1], np.diff(xs, axis=0) / h, np.diff(ys, axis=0) / h, "custom")
 
     def _index(self, t: float) -> int:
         return min(max(bisect.bisect_right(self.knots, t) - 1, 0), len(self.knots) - 2)
@@ -121,34 +112,6 @@ class PiecewiseLinearPath:
         """Linear pieces (lo, hi, x, y, xd, yd): on [lo, hi] the frame is
         (x + (t - lo) xd; y + (t - lo) yd)."""
         return list(zip(self.knots, self.knots[1:], *self.frames))
-
-
-class CustomPath:
-    """Path from a user-supplied frame function.
-
-    Without an explicit derivative function, central finite differences
-    with step 1e-6 are used; accuracy is limited accordingly.
-    """
-
-    kind = "custom"
-
-    def __init__(self, frame_fn, n: int, derivative_fn=None):
-        self._frame_fn = frame_fn
-        self._derivative_fn = derivative_fn
-        self.n = n
-
-    def frame_at(self, t: float):
-        x, y = self._frame_fn(t)
-        return np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-
-    def derivative_at(self, t: float):
-        if self._derivative_fn is not None:
-            x, y = self._derivative_fn(t)
-            return np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-        lo, hi = max(0.0, t - _FD_STEP), min(1.0, t + _FD_STEP)
-        xlo, ylo = self.frame_at(lo)
-        xhi, yhi = self.frame_at(hi)
-        return (xhi - xlo) / (hi - lo), (yhi - ylo) / (hi - lo)
 
 
 class ReparametrizedPath:
@@ -188,8 +151,49 @@ def scaled_projector_path(q, tol: TolerancePolicy = DEFAULT_TOL) -> PiecewiseLin
                                [qm], "scaled_projector")
 
 
-def custom_path(frame_fn, n: int, derivative_fn=None) -> CustomPath:
-    return CustomPath(frame_fn, n, derivative_fn)
+def custom_path(knots, xs, ys, tol: TolerancePolicy = DEFAULT_TOL) -> PiecewiseLinearPath:
+    """Path through the frames (xs[k]; ys[k]) at the knots, linear in
+    between: kind ``"custom"``.
+
+    The knots must be finite and rise strictly from 0.0 to 1.0, with one
+    frame per knot, all of one shape and each valid as
+    :func:`validate_frame` decides.  The path must also stay Lagrangian
+    between the knots, which the midpoint of each piece decides; a piece
+    that leaves the Grassmannian raises ValidationError naming its knots.
+    """
+    try:
+        ts = np.asarray(knots, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("custom_path knots must be numbers") from exc
+    if (ts.ndim != 1 or len(ts) < 2 or not np.isfinite(ts).all()
+            or ts[0] != 0.0 or ts[-1] != 1.0 or (np.diff(ts) <= 0.0).any()):
+        raise ValidationError("custom_path knots must be finite and rise strictly from 0.0 to 1.0")
+    if len(xs) != len(ts) or len(ys) != len(ts):
+        raise ValidationError(f"custom_path needs one frame per knot: {len(ts)} knots, "
+                              f"{len(xs)} X blocks and {len(ys)} Y blocks")
+    frames = [validate_frame(x, y, tol) for x, y in zip(xs, ys)]
+    _same_shape([x for x, _ in frames], "custom_path")
+    x, y = (np.stack(blocks) for blocks in zip(*frames))
+    h = np.diff(ts)[:, None, None]
+    path = PiecewiseLinearPath(ts, x[:-1], y[:-1], np.diff(x, axis=0) / h, np.diff(y, axis=0) / h,
+                               "custom")
+    # On a piece X*Y - Y*X = w(1 - w)(P - P*) with P = X_k* Y_k+1 - Y_k* X_k+1,
+    # so the midpoint frame decides whether the whole piece is Lagrangian.
+    mids = path.frames_at(0.5 * (ts[:-1] + ts[1:]))
+    for k in range(len(ts) - 1):
+        try:
+            _check_frames(mids[0, k:k + 1], mids[1, k:k + 1], tol)
+        except ValidationError as exc:
+            raise ValidationError(f"custom_path between knots {k} and {k + 1}: {exc}") from exc
+    return path
+
+
+def _solvable(path, what: str) -> None:
+    """Refuse a path that is neither piecewise linear nor a
+    reparametrization, since only those have exact pencils to solve."""
+    if not isinstance(path, (PiecewiseLinearPath, ReparametrizedPath)):
+        raise ValidationError(f"{what} needs a path from this module's constructors "
+                              f"or reparametrize, got {type(path).__name__}")
 
 
 def reparametrize(path, phi, dphi) -> ReparametrizedPath:
@@ -199,8 +203,10 @@ def reparametrize(path, phi, dphi) -> ReparametrizedPath:
     phi must fix both ends and must not turn back: on 256 points phi must
     increase strictly and dphi must be positive, except at t = 0 and t = 1
     where it may vanish (as for t^2 (3 - 2t)).  A sample of phi or dphi
-    that is not finite raises ValidationError too.
+    that is not finite raises ValidationError too, as does a base that
+    is not a path of this module.
     """
+    _solvable(path, "reparametrize")
     ts = np.linspace(0.0, 1.0, _MONOTONE_GRID).tolist()
     values = [phi(t) for t in ts]
     rates = [dphi(t) for t in ts[1:-1]]
@@ -222,26 +228,6 @@ class Crossing:
     form_inertia: Inertia
 
 
-def _pairing_at(path, m: LagrangianPlane, t: float) -> np.ndarray:
-    return frame_pairing(m.x, m.y, *path.frame_at(t))
-
-
-def _golden_minimize(f, a: float, b: float) -> float:
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > _REFINE_WIDTH:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _restricted_form(basis: np.ndarray, x, y, xd, yd) -> np.ndarray:
     """The crossing form restricted to the basis; for one matrix, or for
     each matrix of stacks of equal shape."""
@@ -255,11 +241,13 @@ def crossing_form(path, t0: float, m: LagrangianPlane, tol: TolerancePolicy = DE
 
     Raises NoCrossing when the intersection is trivial at t0.
     """
+    _solvable(path, "crossing_form")
     _same_dimension((path, m), "crossing_form")
-    basis = kernel_basis(_pairing_at(path, m, t0), tol)
+    x, y = path.frame_at(t0)
+    basis = kernel_basis(frame_pairing(m.x, m.y, x, y), tol)
     if basis.shape[1] == 0:
         raise NoCrossing(f"no intersection with the reference plane at t={t0}")
-    return _restricted_form(basis, *path.frame_at(t0), *path.derivative_at(t0))
+    return _restricted_form(basis, x, y, *path.derivative_at(t0))
 
 
 def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> list[Crossing]:
@@ -287,16 +275,11 @@ def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL)
     a piece raises after the root clusters of the pieces before it are
     checked, and before any crossing form is.
 
-    Paths given by a frame callable are sampled instead: the smallest
-    singular value of K(t) on 2048 fixed points, each plausible valley
-    refined by bracketed minimization to width 1e-12.  A refined point is
-    a crossing when ``kernel_basis`` finds a kernel in its own pairing,
-    under that matrix's own count-rule cutoff.  Crossings closer than the
-    grid spacing may be missed there.
-
-    Degenerate restricted forms raise DegenerateCrossing; two crossings
+    Any other path object raises ValidationError: there is no sampled
+    search.  Degenerate restricted forms raise DegenerateCrossing; two crossings
     closer than 1e-9 raise UnresolvedCluster instead of being merged.
     """
+    _solvable(path, "find_crossings")
     _same_dimension((path, m), "find_crossings")
     return _crossings(path, m, tol)
 
@@ -307,9 +290,7 @@ def _crossings(path, m: LagrangianPlane, tol: TolerancePolicy) -> list[Crossing]
         # the parameter changes.
         return [Crossing(_schedule_inverse(path.phi, c.t), c.dim, c.form_inertia)
                 for c in _crossings(path.base, m, tol)]
-    if isinstance(path, PiecewiseLinearPath):
-        return _pencil_crossings(path, m, tol)
-    return _grid_crossings(path, m, tol)
+    return _pencil_crossings(path, m, tol)
 
 
 def _schedule_inverse(phi, s: float) -> float:
@@ -502,57 +483,6 @@ def _restricted_inertias(path: PiecewiseLinearPath, meets: list[float], at: list
     return [[inertias[i, k] for k in ks] for i, ks in enumerate(sides)]
 
 
-def _sampled_frames(path, ts: list[float], tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """The frames of a callable path at ts, as stacks of X and of Y blocks,
-    checked as :func:`validate_frame` checks one frame: finite n x n
-    blocks (checked before any arithmetic), injective and Lagrangian."""
-    n = path.n
-    frames = [path.frame_at(t) for t in ts]
-    if any(x.shape != (n, n) or y.shape != (n, n) for x, y in frames):
-        raise ValidationError(f"path frames must be two {n} x {n} blocks")
-    xs, ys = (np.stack(blocks) for blocks in zip(*frames))
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ValidationError("path frames must have finite entries")
-    _check_frames(xs, ys, tol)
-    return xs, ys
-
-
-def _grid_crossings(path, m: LagrangianPlane, tol: TolerancePolicy) -> list[Crossing]:
-    ts = np.linspace(0.0, 1.0, _GRID)
-    stack = frame_pairing(m.x, m.y, *_sampled_frames(path, ts.tolist(), tol))
-    svals = np.linalg.svd(stack, compute_uv=False)
-    sig = svals[:, -1]
-    cut = _cutoff(svals.max(), tol)
-    step = ts[1] - ts[0]
-    slope = float(np.max(np.abs(np.diff(sig)))) / step
-    trigger = max(2.0 * slope * step, 64.0 * cut)
-
-    candidates = []
-    for i in range(_GRID):
-        left = sig[i - 1] if i > 0 else np.inf
-        right = sig[i + 1] if i + 1 < _GRID else np.inf
-        if (sig[i] < left and sig[i] <= right) or (i == 0 and sig[0] <= right):
-            drop = max(left - sig[i] if np.isfinite(left) else 0.0,
-                       right - sig[i] if np.isfinite(right) else 0.0, 0.0)
-            if sig[i] <= max(trigger, 6.0 * drop):
-                candidates.append(i)
-
-    def sigma_min(t: float) -> float:
-        return float(np.linalg.svd(_pairing_at(path, m, t), compute_uv=False)[-1])
-
-    crossings: list[Crossing] = []
-    for i in candidates:
-        lo = ts[i - 1] if i > 0 else ts[0]
-        hi = ts[i + 1] if i + 1 < _GRID else ts[-1]
-        t_star = float(np.clip(_golden_minimize(sigma_min, lo, hi), 0.0, 1.0))
-        basis = kernel_basis(_pairing_at(path, m, t_star), tol)
-        if not basis.shape[1]:
-            continue
-        form = _restricted_form(basis, *path.frame_at(t_star), *path.derivative_at(t_star))
-        _append_crossing(crossings, t_star, trusted_inertia(form, tol))
-    return crossings
-
-
 def index_from_crossings(crossings) -> int:
     """Signed crossing count with the endpoint conventions: positive
     inertia on [0, 1), negative inertia on (0, 1]."""
@@ -578,16 +508,13 @@ def is_nondecreasing(path, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
 
     On a linear piece the form is affine in t, so it is checked exactly
     at both ends of each piece; a reparametrization scales it by
-    phi' > 0.  Paths given by a frame callable are checked on 256 points.
+    phi' > 0, so it is checked on its base path.
     """
+    _solvable(path, "is_nondecreasing")
     if isinstance(path, ReparametrizedPath):
         return is_nondecreasing(path.base, tol)
-    if isinstance(path, PiecewiseLinearPath):
-        points = ((x + s * xd, y + s * yd, xd, yd)
-                  for lo, hi, x, y, xd, yd in path.pieces() for s in (0.0, hi - lo))
-    else:
-        points = ((*path.frame_at(float(t)), *path.derivative_at(float(t)))
-                  for t in np.linspace(0.0, 1.0, _MONOTONE_GRID))
+    points = ((x + s * xd, y + s * yd, xd, yd)
+              for lo, hi, x, y, xd, yd in path.pieces() for s in (0.0, hi - lo))
     return not any(trusted_inertia(hermitian_part(frame_pairing(x, y, xd, yd)), tol).n_minus
                    for x, y, xd, yd in points)
 

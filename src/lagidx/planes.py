@@ -83,7 +83,10 @@ def validate_frame(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray
 def _check_frames(xs: np.ndarray, ys: np.ndarray, tol: TolerancePolicy) -> None:
     """Refuse stacks of finite n x n frame blocks in which some frame
     (X; Y) is rank deficient (NotInjective) or has a Lagrangian residual
-    ||X*Y - Y*X|| above residual_tol * (||X|| ||Y|| + 1) (NotLagrangian)."""
+    ||X*Y - Y*X|| above residual_tol * (||X|| ||Y|| + 1) (NotLagrangian).
+
+    Callers: :func:`validate_frame`, and ``maslov.custom_path`` for the
+    piece midpoints it builds from frames that passed validate_frame."""
     ranks = count_above_cutoff(np.linalg.svd(np.concatenate([xs, ys], axis=-2), compute_uv=False), tol)
     if min(ranks) < xs.shape[-1]:
         raise NotInjective("frame columns are numerically dependent")

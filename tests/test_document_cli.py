@@ -10,7 +10,6 @@ import lagidx
 from lagidx import ValidationError, graph_plane, horizontal_plane, planes_equal, vertical_plane
 from lagidx import document as doc
 from lagidx.cli import main
-from lagidx.planes import validate_frame
 
 
 @pytest.fixture
@@ -98,14 +97,17 @@ def test_document_accessors(sample_doc, tol):
 def test_document_builds_each_object_once(sample_doc, monkeypatch):
     # Load validates and builds every entry; the accessors return those
     # objects and do not validate again.
+    # Counted at the frame check itself, which validate_frame and the
+    # midpoints of custom_path both call.
     calls = []
+    check = lagidx.planes._check_frames
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return validate_frame(*args, **kwargs)
+        return check(*args, **kwargs)
 
-    monkeypatch.setattr(lagidx.planes, "validate_frame", counted)
-    monkeypatch.setattr(doc, "validate_frame", counted)
+    monkeypatch.setattr(lagidx.planes, "_check_frames", counted)
+    monkeypatch.setattr(lagidx.maslov, "_check_frames", counted)
     d = doc.load(sample_doc)
     assert len(calls) == 5  # the five plane entries
     for name in d.names("plane"):

@@ -175,8 +175,8 @@ def test_is_nondecreasing():
     phi = lambda t: t * t * (3 - 2 * t)
     dphi = lambda t: 6 * t * (1 - t)
     assert not is_nondecreasing(reparametrize(scalar_segment(1, 0), phi, dphi))
-    # the callable path keeps the sampled check
-    assert is_nondecreasing(custom_path(lambda t: (np.eye(1), np.array([[t]])), 1))
+    # a path built in memory from its knot frames
+    assert is_nondecreasing(custom_path([0.0, 1.0], [np.eye(1)] * 2, [np.zeros((1, 1)), np.eye(1)]))
 
 
 def scalar_knot_path(values, grid=(0.0, 0.5, 1.0), n=1):
@@ -219,11 +219,11 @@ def test_document_path_frames_match_its_pieces():
         assert np.allclose(py, v * np.eye(2), rtol=0, atol=1e-15)
 
 
-@pytest.mark.xfail(strict=True, reason="the 2048-point grid of a callable path merges two "
-                   "crossings 2e-4 apart into one valley; ROADMAP item 4 (spectral flow) "
-                   "replaces the grid")
 def test_callable_path_crossings_inside_one_grid_cell():
-    path = custom_path(lambda t: (np.eye(2), t * np.eye(2)), 2)
+    # t -> graph(t I) from its two knot frames: the two crossings are
+    # 2e-4 apart, closer than the cells of a 2048-point grid, and the
+    # pencil finds both.
+    path = custom_path([0.0, 1.0], [np.eye(2)] * 2, [np.zeros((2, 2)), np.eye(2)])
     assert maslov_index(path, graph_plane(np.diag([0.3, 0.3002]))) == 2
 
 
@@ -305,22 +305,7 @@ def test_reparametrize_refuses_a_non_finite_schedule():
             reparametrize(path, phi, dphi)
 
 
-def test_custom_path_finite_differences():
-    # custom wrapper around an analytic segment reproduces its crossings
-    a, b = np.array([[0.0]]), np.array([[1.0]])
-    path = custom_path(lambda t: (np.eye(1), a + t * (b - a)), 1)
-    assert maslov_index(path, scalar_graph(0.5)) == 1
-
-
-def test_callable_path_near_miss_is_decided_at_its_own_point():
-    # The pairing dips to 1e-7 at t = 0.3 and reaches 1e3 at t = 1.  The
-    # grid's cutoff, scaled by 1e3, makes the dip a candidate, but the
-    # point's own pairing has count-rule rank 1: no crossing, as for the
-    # same path scaled to 1, whose dip is not even a candidate.
-    for scale in (1000.0, 1.0):
-        path = custom_path(
-            lambda t, s=scale: (np.eye(1), np.array([[1e-7 + (s / 0.49) * (t - 0.3) ** 2]])), 1)
-        assert find_crossings(path, horizontal_plane(1)) == []
+KNOTS = [0.0, 0.5, 1.0]
 
 
 @pytest.mark.parametrize("frame, error", [
@@ -331,30 +316,37 @@ def test_callable_path_near_miss_is_decided_at_its_own_point():
     (lambda t: (t * np.eye(2), t * np.eye(2)), NotInjective),
     (lambda t: (np.eye(2), t * np.array([[0.0, 1.0], [0.0, 0.0]])), NotLagrangian),
 ], ids=["nan", "inf", "block-shapes", "not-square", "zero-at-start", "not-lagrangian"])
-def test_callable_path_frames_are_checked_where_sampled(frame, error):
-    # The sampled frames are checked before the pairing SVD, so a bad
-    # frame gives a typed error, not a raw numpy error or a silent index.
-    path = custom_path(frame, 2)
-    reference = graph_plane(np.diag([0.3, 0.7]))
+def test_custom_path_knot_frames_are_checked(frame, error):
+    # Every knot frame is checked before any pencil exists, so a bad frame
+    # gives a typed error, not a raw numpy error or a silent index.
+    xs, ys = zip(*(frame(t) for t in KNOTS))
     with pytest.raises(error):
-        maslov_index(path, reference)
-    with pytest.raises(error):
-        zwz_check(path, reference, horizontal_plane(2))
+        custom_path(KNOTS, xs, ys)
+
+
+def test_custom_path_must_stay_lagrangian_between_its_knots():
+    # (I; A) to (B; I) with Hermitian A and B that do not commute: both
+    # knots are Lagrangian, the midpoint has residual |AB - BA| / 4.
+    a = np.diag([1.0, -1.0])
+    b = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValidationError, match="between knots 0 and 1"):
+        custom_path([0.0, 1.0], [np.eye(2), b], [a, np.eye(2)])
 
 
 def test_custom_path_reads_its_derivative_fn():
     # graph(t diag(1, 2)) meets graph(diag(0.25, 1.5)) at t = 0.25 and
-    # t = 0.75.  The crossing forms come from derivative_fn: the true
-    # derivative gives +2, a sign-flipped one gives -2.
+    # t = 0.75.  The crossing forms come from the derivative the knots
+    # give each piece: the rising segment gives +2, the reversed one -2.
     b = np.diag([1.0, 2.0])
-    frame = lambda t: (np.eye(2), t * b)
+    eyes, zero = [np.eye(2)] * 2, np.zeros((2, 2))
     reference = graph_plane(np.diag([0.25, 1.5]))
-    up = custom_path(frame, 2, derivative_fn=lambda t: (np.zeros((2, 2)), b))
-    flipped = custom_path(frame, 2, derivative_fn=lambda t: (np.zeros((2, 2)), -b))
-    assert [round(c.t, 9) for c in find_crossings(up, reference)] == [0.25, 0.75]
+    up = custom_path([0.0, 1.0], eyes, [zero, b])
+    down = custom_path([0.0, 1.0], eyes, [b, zero])
+    assert [round(c.t, 12) for c in find_crossings(up, reference)] == [0.25, 0.75]
+    assert [round(c.t, 12) for c in find_crossings(down, reference)] == [0.25, 0.75]
     assert maslov_index(up, reference) == 2
-    assert maslov_index(flipped, reference) == -2
-    assert is_nondecreasing(up) and not is_nondecreasing(flipped)
+    assert maslov_index(down, reference) == -2
+    assert is_nondecreasing(up) and not is_nondecreasing(down)
 
 
 def test_minimal_path_examples():

@@ -1,7 +1,7 @@
 """Each input condition is checked by one helper, called at every public
 entry point that needs it: a finite matrix in any memory layout, planes
-of one dimension, matrices of one shape, and a dimension argument that
-is an integer >= 1."""
+of one dimension, matrices of one shape, a dimension argument that is
+an integer >= 1, and a path the Maslov pencils can solve."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from lagidx import (
     duistermaat_graphs,
     duistermaat_relation_vertical,
     epsilon_select,
+    custom_path,
     extremal_check,
     find_crossings,
     graph_plane,
@@ -21,6 +22,7 @@ from lagidx import (
     index_via_resolvent_difference,
     inertia,
     intersection_dim,
+    is_nondecreasing,
     kashiwara,
     minimal_path,
     morse_difference_invertible,
@@ -31,6 +33,7 @@ from lagidx import (
     random_plane,
     random_plane_with_mul,
     random_symplectic,
+    reparametrize,
     standard_form,
     swap_map,
     transversal_companion,
@@ -126,6 +129,7 @@ UNEQUAL_SHAPES = {
     "graph_segment": lambda: graph_segment(np.eye(2), np.eye(3)),
     "duistermaat_graphs": lambda: duistermaat_graphs(H, H, np.eye(2)),
     "duistermaat_relation_vertical": lambda: duistermaat_relation_vertical(np.eye(2), PLANE, "graph_first"),
+    "custom_path": lambda: custom_path([0.0, 1.0], [np.eye(2), np.eye(3)], [np.zeros((2, 2)), np.eye(3)]),
 }
 
 
@@ -140,3 +144,51 @@ def test_integer_dimensions_are_accepted_as_numpy_integers():
     assert standard_form(n).shape == swap_map(n).shape == (4, 4)
     assert planes_equal(horizontal_plane(n), graph_plane(np.zeros((2, 2))))
     assert intersection_dim(random_plane_with_mul(3, np.int64(1), 0), vertical_plane(3)) == 1
+
+
+class FramePath:
+    """A path given by a frame function, which no entry point solves."""
+
+    n = 2
+
+    def frame_at(self, t):
+        return np.eye(2), t * np.eye(2)
+
+
+FOREIGN_PATH_OPS = {
+    "find_crossings": lambda p: find_crossings(p, L2),
+    "crossing_form": lambda p: crossing_form(p, 0.5, L2),
+    "is_nondecreasing": is_nondecreasing,
+    "reparametrize": lambda p: reparametrize(p, lambda t: t, lambda t: 1.0),
+}
+
+
+@pytest.mark.parametrize("path", [FramePath(), object()], ids=["frame-function", "object"])
+@pytest.mark.parametrize("name", sorted(FOREIGN_PATH_OPS))
+def test_foreign_paths_raise_validation_error(name, path):
+    with pytest.raises(ValidationError, match="needs a path"):
+        FOREIGN_PATH_OPS[name](path)
+
+
+EYES, ZERO_ONE = [np.eye(1)] * 3, [np.zeros((1, 1)), 0.5 * np.eye(1), np.eye(1)]
+BAD_KNOTS = {
+    "not-increasing": [0.0, 0.6, 0.6],
+    "decreasing": [0.0, 0.7, 0.4],
+    "nan": [0.0, np.nan, 1.0],
+    "inf": [0.0, 0.5, np.inf],
+    "starts-after-0": [0.1, 0.5, 1.0],
+    "ends-before-1": [0.0, 0.5, 0.9],
+    "not-numbers": [0.0, "half", 1.0],
+    "nested": [[0.0, 0.5, 1.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_KNOTS))
+def test_custom_path_knots_rise_from_0_to_1(name):
+    with pytest.raises(ValidationError, match="knots"):
+        custom_path(BAD_KNOTS[name], EYES, ZERO_ONE)
+
+
+def test_custom_path_needs_one_frame_per_knot():
+    with pytest.raises(ValidationError, match="one frame per knot"):
+        custom_path([0.0, 1.0], EYES, ZERO_ONE)
