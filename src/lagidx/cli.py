@@ -72,7 +72,7 @@ def _cmd_index(args) -> int:
     document = doc.load(args.input, tol)
     planes = [document.plane(name) for name in args.planes]
     method = METHOD_FLAGS[args.method]
-    report = duistermaat(*planes, tol=tol, method=method, epsilon=args.eps)
+    report = duistermaat(*planes, tol=tol, method=method)
     payload = {
         "value": report.value,
         "method": report.method,
@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--input", required=True, help="document file")
     p_index.add_argument("--planes", nargs=3, required=True, metavar=("L1", "L2", "L3"))
     p_index.add_argument("--method", choices=sorted(METHOD_FLAGS), default="omega")
-    p_index.add_argument("--eps", type=float, default=None, help="force the Robin-map epsilon")
     p_index.add_argument("--cross-check", action="store_true",
                          help="run every method and compare")
     _add_common(p_index)

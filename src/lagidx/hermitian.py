@@ -23,7 +23,6 @@ and injective by construction.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -99,6 +98,8 @@ def _as_dimension(n, what: str = "dimension", least: int = 1) -> int:
 
 def matrix_hash(m: np.ndarray) -> str:
     """Short content hash used in diagnostics."""
+    import hashlib  # loads OpenSSL, which only error messages need
+
     h = hashlib.sha256()
     h.update(str(m.shape).encode())
     h.update(np.ascontiguousarray(m).tobytes())

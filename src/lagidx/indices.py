@@ -47,7 +47,6 @@ from .hermitian import (
 from .planes import (
     LagrangianPlane,
     _same_dimension,
-    checked_robin_matrices,
     epsilon_select,
     intersection_dim,
     robin_matrices,
@@ -137,21 +136,17 @@ def _robin_values(r: np.ndarray, tol: TolerancePolicy) -> list[int]:
 
 
 def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
-                      tol: TolerancePolicy = DEFAULT_TOL, seed=None,
-                      epsilon: Optional[float] = None) -> IndexReport:
+                      tol: TolerancePolicy = DEFAULT_TOL, seed=None) -> IndexReport:
     """Duistermaat index through Robin maps at a shared epsilon.
 
     The value is constant in epsilon away from a finite bad set, so it is
     computed at the two epsilons of :func:`epsilon_select`, in one stacked
-    pass, and any disagreement is raised as a sharp tolerance alarm.
-    Passing an explicit ``epsilon`` skips selection and the double check.
-    ``seed`` is accepted and unused: the selection is closed-form.
+    pass, and any disagreement is raised as EpsilonDisagreement.  There is
+    no way to pass an epsilon: near the bad set one epsilon alone can give
+    a wrong index without any error.  ``seed`` is accepted and unused: the
+    selection is closed-form.
     """
     planes = (l1, l2, l3)
-    if epsilon is not None:
-        value, = _robin_values(checked_robin_matrices(planes, epsilon, tol), tol)
-        return IndexReport(_check_bounds(value, l1.n, "robin"), "robin", float(epsilon),
-                           {"forced_epsilon": True})
     eps1, eps2, margin = epsilon_select(planes, tol)
     v1, v2 = _robin_values(robin_matrices(planes, (eps1, eps2), tol), tol)
     if v1 != v2:
@@ -163,7 +158,8 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
 
 def _reduction_graphs(planes, l4: LagrangianPlane, tol: TolerancePolicy) -> np.ndarray:
     """Stack of the Hermitian graph matrices B(L1, L2), B(L1, L3) and
-    B(L2, L3) against the companion L4, each from n x n pairings alone:
+    B(L2, L3) against the scalar companion L4 of
+    :func:`transversal_companion`, each from n x n pairings alone:
     B(La, W) = P(La, W) · P(L4, W)^-1 · P(L4, La).
 
     ``transversal_companion`` has already given each of these same
@@ -171,7 +167,9 @@ def _reduction_graphs(planes, l4: LagrangianPlane, tol: TolerancePolicy) -> np.n
     P(La, L4) = -G_a* has the same singular values, so no pairing is
     decided again here.  An asymmetric B (one of the planes is not
     Lagrangian) raises DualBasisFailure."""
-    g = frame_pairing(l4.x, l4.y, np.stack([p.x for p in planes]), np.stack([p.y for p in planes]))
+    # L4 is (cos(phi) I; sin(phi) I), so G_k = cos(phi) Y_k - sin(phi) X_k.
+    c, s = l4.x[0, 0].real, l4.y[0, 0].real
+    g = np.stack([c * p.y - s * p.x for p in planes])
     l1, l2, l3 = planes
     p_aw = np.stack([frame_pairing(la.x, la.y, w.x, w.y) for la, w in ((l1, l2), (l1, l3), (l2, l3))])
     return checked_hermitian_part(p_aw @ np.linalg.solve(g[[1, 2, 2]], g[[0, 0, 1]]), tol,
@@ -220,7 +218,7 @@ def _graphs_index(am, bm, cm, tol: TolerancePolicy) -> int:
 
 def duistermaat(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
                 tol: TolerancePolicy = DEFAULT_TOL, method: str = "omega",
-                seed=None, epsilon: Optional[float] = None) -> IndexReport:
+                seed=None) -> IndexReport:
     """Dispatch a triple to one of the index algorithms.
 
     ``closed_form`` requires all three planes to be graphs (transversal
@@ -229,7 +227,7 @@ def duistermaat(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
     if method == "omega":
         return duistermaat_omega(l1, l2, l3, tol)
     if method == "robin":
-        return duistermaat_robin(l1, l2, l3, tol, seed, epsilon)
+        return duistermaat_robin(l1, l2, l3, tol, seed)
     if method == "reduce":
         return duistermaat_reduce(l1, l2, l3, tol, seed)
     if method == "closed_form":

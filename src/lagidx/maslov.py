@@ -239,10 +239,14 @@ def crossing_form(path, t0: float, m: LagrangianPlane, tol: TolerancePolicy = DE
     """Crossing form at t0 restricted to the intersection with the
     reference plane, in the moving frame's kernel coordinates.
 
-    Raises NoCrossing when the intersection is trivial at t0.
+    Raises NoCrossing when the intersection is trivial at t0, and
+    ValidationError when t0 is nan or outside [0, 1], where the frame would
+    be extrapolated off the path.
     """
     _solvable(path, "crossing_form")
     _same_dimension((path, m), "crossing_form")
+    if not 0.0 <= t0 <= 1.0:
+        raise ValidationError(f"crossing_form needs t0 in [0, 1], got {t0}")
     x, y = path.frame_at(t0)
     basis = kernel_basis(frame_pairing(m.x, m.y, x, y), tol)
     if basis.shape[1] == 0:

@@ -273,25 +273,16 @@ def epsilon_select(planes, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, f
 def robin_map(plane: LagrangianPlane, epsilon: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Robin map R = Y (X + eps Y)^-1 of the canonical frame.
 
-    Hermitian for real eps outside a finite exceptional set; the result is
-    symmetrized after an asymmetry check, and an X + eps Y of count-rule
-    rank below n raises SingularEpsilon."""
-    return checked_robin_matrices((plane,), epsilon, tol)[0]
-
-
-def checked_robin_matrices(planes, epsilon: float, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """:func:`robin_matrices` at an epsilon that :func:`epsilon_select` has
-    not picked for these planes: an epsilon that is not finite raises
-    ValidationError, and an X + eps Y of count-rule rank below n, for any
-    plane, raises SingularEpsilon first, with one stacked SVD."""
+    Hermitian for real eps outside a finite exceptional set.  The epsilon
+    is the caller's, not one of :func:`epsilon_select`, so it is checked
+    first: one that is not finite raises ValidationError, and an
+    X + eps Y of count-rule rank below n raises SingularEpsilon.  The
+    result is symmetrized after an asymmetry check."""
     if not np.isfinite(epsilon):
         raise ValidationError(f"Robin epsilon must be finite, got {epsilon}")
-    xs, ys = _stacked_frames(planes, "robin_matrices")
-    n = xs.shape[-1]
-    ranks = count_above_cutoff(np.linalg.svd(xs + epsilon * ys, compute_uv=False), tol)
-    if any(r < n for r in ranks):
-        raise SingularEpsilon(f"X + {epsilon} Y has count-rule rank below {n}")
-    return robin_matrices(planes, epsilon, tol)
+    if count_above_cutoff(np.linalg.svd(plane.x + epsilon * plane.y, compute_uv=False), tol) < plane.n:
+        raise SingularEpsilon(f"X + {epsilon} Y has count-rule rank below {plane.n}")
+    return robin_matrices((plane,), epsilon, tol)[0]
 
 
 def robin_matrices(planes, epsilon, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -303,7 +294,7 @@ def robin_matrices(planes, epsilon, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
     epsilons.  Each epsilon must come from :func:`epsilon_select` for these
     planes, which has already decided the count-rule rank of the same
     X + eps Y in closed form; any other epsilon goes through
-    :func:`checked_robin_matrices`.  An asymmetric map raises
+    :func:`robin_map`.  An asymmetric map raises
     SingularEpsilon, naming the first epsilon that gave one."""
     xs, ys = _stacked_frames(planes, "robin_matrices")
     eps = np.asarray(epsilon, dtype=float)

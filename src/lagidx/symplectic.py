@@ -27,8 +27,10 @@ def frame_pairing(x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray
     """The symplectic pairing X1*Y2 - Y1*X2 of the frames (X1; Y1) and
     (X2; Y2); for stacks of blocks, of each pair of frames along the
     leading axes, which broadcast.  The only place the pairing is
-    written: it vanishes on a Lagrangian frame paired with itself, and
-    its kernel represents the intersection of two planes."""
+    written, but for its closed form against a scalar plane
+    (cos(phi) I; sin(phi) I) in ``indices._reduction_graphs``: it vanishes
+    on a Lagrangian frame paired with itself, and its kernel represents
+    the intersection of two planes."""
     return x1.conj().swapaxes(-1, -2) @ y2 - y1.conj().swapaxes(-1, -2) @ x2
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lagidx
-from lagidx import ValidationError, graph_plane, horizontal_plane, planes_equal, vertical_plane
+from lagidx import ValidationError, graph_plane, horizontal_plane, planes_equal, random_plane, vertical_plane
 from lagidx import document as doc
 from lagidx.cli import main
 
@@ -230,14 +230,6 @@ def test_cli_index_machine_output(sample_doc, capsys):
     assert payload["epsilon"] is not None
 
 
-def test_cli_index_forced_epsilon(sample_doc, capsys):
-    assert main(["index", "--input", sample_doc, "--planes", "L0", "L2", "L1",
-                 "--method", "robin", "--eps", "0.375", "--output", "machine"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["value"] == 1
-    assert payload["epsilon"] == 0.375
-
-
 def test_cli_validation_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -259,13 +251,6 @@ def test_cli_validation_exit_code(tmp_path, capsys):
                                                 "p": doc.hermitian_entry(np.eye(3))})))
     assert main(["relation", "--input", str(bad), "--op", "compress", "--names", "a", "p"]) == 2
     assert "differ" in capsys.readouterr().err
-    # A forced Robin epsilon that is not finite.
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps(doc.new_document({"L": doc.plane_entry(horizontal_plane(1))})))
-    for eps in ("nan", "inf", "-inf"):
-        assert main(["index", "--input", str(good), "--planes", "L", "L", "L",
-                     "--method", "robin", f"--eps={eps}"]) == 2
-        assert "must be finite" in capsys.readouterr().err
     # A dimension range with a part that is not an integer.
     for n_text in ("x", "1..x", "1,,2"):
         assert main(["verify", "--suite", "graphs", "--n", n_text, "--trials", "1"]) == 2
@@ -294,6 +279,25 @@ def test_cli_refuses_a_negative_seed(sample_doc, capsys):
               "--method", "robin", "--seed", "0"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+
+def test_cli_index_has_no_forced_epsilon(tmp_path, capsys):
+    # One epsilon near a zero of X + eps Y can give a wrong index with no
+    # error: on this triple, the Robin maps at -0.42761069109144906, 1e-7
+    # rad from a singular X + eps Y of L1, give 1.  So `index` takes no
+    # --eps, and the two selected epsilons give 2, as every method does.
+    triple = tmp_path / "triple.json"
+    triple.write_text(json.dumps(doc.new_document(
+        {f"L{i}": doc.plane_entry(random_plane(2, [1, i])) for i in range(3)})))
+    argv = ["index", "--input", str(triple), "--planes", "L0", "L1", "L2", "--method", "robin"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--eps", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eps 0.5" in capsys.readouterr().err
+    assert main([*argv, "--cross-check", "--output", "machine"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == 2
+    assert set(payload["cross_check"].values()) == {2}
 
 
 def test_cli_relation_round_trip(sample_doc, tmp_path, capsys):
@@ -346,10 +350,10 @@ def test_cli_cross_check_disagreement_exit(sample_doc, capsys, monkeypatch):
     import lagidx.cli
     from lagidx.indices import IndexReport, duistermaat as real_duistermaat
 
-    def broken(*planes, tol=None, method="omega", seed=None, epsilon=None):
+    def broken(*planes, tol=None, method="omega", seed=None):
         if method == "reduce":
             return IndexReport(99, "reduce")
-        return real_duistermaat(*planes, tol=tol, method=method, seed=seed, epsilon=epsilon)
+        return real_duistermaat(*planes, tol=tol, method=method, seed=seed)
 
     monkeypatch.setattr(lagidx.cli, "duistermaat", broken)
     code = main(["index", "--input", sample_doc, "--planes", "L0", "L1", "L2",

@@ -123,12 +123,20 @@ def test_selection_ignores_the_seed(rng):
         assert reports[0].diagnostics["selection_margin"] > 1
 
 
+def test_robin_index_takes_no_epsilon():
+    # A single forced epsilon near the bad set can give a wrong index
+    # without any error, so every Robin index comes from the two selected
+    # epsilons and their agreement check.
+    triple = (scalar_graph(-2), scalar_graph(0), scalar_graph(1))
+    with pytest.raises(TypeError):
+        duistermaat_robin(*triple, epsilon=0.5)
+    with pytest.raises(TypeError):
+        duistermaat(*triple, method="robin", epsilon=0.5)
+
+
 def test_robin_forced_singular_epsilon():
-    # The canonical frame of graph(-2) has X + Y / 2 = 0 exactly.
-    with pytest.raises(SingularEpsilon):
-        duistermaat_robin(scalar_graph(-2), scalar_graph(0), scalar_graph(1), epsilon=0.5)
-    # robin_map is given its epsilon too, so it keeps the count-rule rank
-    # check.
+    # robin_map is given its epsilon, so it keeps the count-rule rank
+    # check: the canonical frame of graph(-2) has X + Y / 2 = 0 exactly.
     with pytest.raises(SingularEpsilon):
         robin_map(graph_plane([[-2.0]]), 0.5)
     # X + 0.5 Y has singular values (0.354, 5.0e-10): s_max / s_min < 1e9,
@@ -217,14 +225,19 @@ def test_reduction_graphs_match_normalization(rng, tol):
 
 
 def test_reduce_failure_is_typed(rng, monkeypatch):
-    # A companion equal to L2 makes its pairing with L2 zero up to rounding,
-    # so the graph matrices come out asymmetric: the one companion fails
-    # with DualBasisFailure and no value is returned.
-    triple = tuple(random_plane(3, rng) for _ in range(3))
-    monkeypatch.setattr(lagidx.indices, "transversal_companion", lambda planes, tol: (planes[1], 2.0))
+    # A middle plane built past the constructors from a frame that is not
+    # Lagrangian makes the graph matrices asymmetric: the one companion
+    # fails with DualBasisFailure, no other is tried and no value is
+    # returned.  The companion itself is not swapped out: its pairings are
+    # taken in closed form for the scalar plane it always is.
+    real_companion, calls = lagidx.indices.transversal_companion, []
+    monkeypatch.setattr(lagidx.indices, "transversal_companion",
+                        lambda planes, tol: calls.append(planes) or real_companion(planes, tol))
+    q, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
     with pytest.raises(SelectionFailed) as info:
-        duistermaat_reduce(*triple, seed=0)
+        duistermaat_reduce(random_plane(3, rng), LagrangianPlane(q[:3], q[3:]), random_plane(3, rng), seed=0)
     assert isinstance(info.value.__cause__, DualBasisFailure)
+    assert len(calls) == 1
 
 
 def test_cocycle_property(rng):

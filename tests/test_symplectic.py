@@ -193,19 +193,22 @@ def test_direct_sums_of_planes_and_of_maps_interleave_alike(rng):
 def test_import_does_not_load_scipy_linalg():
     # A fresh interpreter, so modules imported by other tests do not count.
     # Neither the import, nor a random plane (exp(J H) is taken without
-    # scipy), nor a verify run may load any scipy module.
+    # scipy), nor a verify run may load any scipy module.  The imports do
+    # not load OpenSSL either (hashlib only hashes for error messages);
+    # numpy.random, which a random plane imports, does.
     src = os.path.dirname(os.path.dirname(lagidx.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, lagidx\n"
             "def scipy_loaded(): return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
-            "print(scipy_loaded())\n"
+            "print(scipy_loaded(), '_hashlib' in sys.modules)\n"
+            "from lagidx.cli import main\n"
+            "print(scipy_loaded(), '_hashlib' in sys.modules)\n"
             "lagidx.random_plane(3, 0)\n"
             "print(scipy_loaded())\n"
-            "from lagidx.cli import main\n"
             "code = main(['verify', '--suite', 'kashiwara', '--n', '1..3', '--trials', '3'])\n"
             "print(code, scipy_loaded())\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     lines = out.stdout.strip().splitlines()
-    assert lines[:2] == ["False", "False"]
+    assert lines[:3] == ["False False", "False False", "False"]
     assert lines[-1] == "0 False"

@@ -34,6 +34,7 @@ from lagidx import (
     random_plane_with_mul,
     random_symplectic,
     reparametrize,
+    robin_map,
     standard_form,
     swap_map,
     transversal_companion,
@@ -86,7 +87,6 @@ MISMATCHED = {
     "planes_equal": lambda: planes_equal(L2, L3),
     "duistermaat-omega": lambda: duistermaat(L2, M2, L3, method="omega"),
     "duistermaat-robin": lambda: duistermaat(L2, M2, L3, method="robin"),
-    "duistermaat-robin-forced-epsilon": lambda: duistermaat(L2, M2, L3, method="robin", epsilon=0.5),
     "duistermaat-reduce": lambda: duistermaat(L2, M2, L3, method="reduce"),
     "duistermaat-closed_form": lambda: duistermaat(L2, M2, L3, method="closed_form"),
     "kashiwara": lambda: kashiwara(L2, M2, L3),
@@ -144,6 +144,26 @@ def test_integer_dimensions_are_accepted_as_numpy_integers():
     assert standard_form(n).shape == swap_map(n).shape == (4, 4)
     assert planes_equal(horizontal_plane(n), graph_plane(np.zeros((2, 2))))
     assert intersection_dim(random_plane_with_mul(3, np.int64(1), 0), vertical_plane(3)) == 1
+
+
+# The segment (I; t I) extrapolated to t0 = 2 or -1 meets the reference
+# graph(t0) there, so only the range check refuses those t0.  A Robin
+# epsilon that is not finite is refused before its SVD, where X + nan Y
+# would end in numpy's LinAlgError.
+SEGMENT = graph_segment(np.zeros((1, 1)), np.eye(1))
+SOLVABLE_PATHS = {"segment": SEGMENT, "reparametrized": reparametrize(SEGMENT, lambda t: t, lambda t: 1.0)}
+OUT_OF_DOMAIN = {
+    **{f"crossing_form-{kind}-t0={t0}": (lambda p=p, t0=t0, a=a: crossing_form(p, t0, graph_plane([[a]])))
+       for kind, p in SOLVABLE_PATHS.items() for t0, a in ((2.0, 2.0), (-1.0, -1.0), (np.nan, 0.0))},
+    **{f"robin_map-eps={eps}": (lambda eps=eps: robin_map(horizontal_plane(1), eps))
+       for eps in (np.nan, np.inf, -np.inf)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_DOMAIN))
+def test_scalar_arguments_outside_their_domain_raise_validation_error(name):
+    with pytest.raises(ValidationError, match=r"t0 in \[0, 1\]|must be finite"):
+        OUT_OF_DOMAIN[name]()
 
 
 class FramePath:
