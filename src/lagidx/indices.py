@@ -165,15 +165,20 @@ def _reduction_graphs(planes, l4: LagrangianPlane, tol: TolerancePolicy) -> np.n
     ``transversal_companion`` has already given each of these same
     G_k = P(L4, L_k) full count-rule rank, in closed form, and
     P(La, L4) = -G_a* has the same singular values, so no pairing is
-    decided again here.  An asymmetric B (one of the planes is not
-    Lagrangian) raises DualBasisFailure."""
+    decided again here.  A G_k that LAPACK finds exactly singular (only a
+    frame built past the validating constructors can give one) or an
+    asymmetric B (one of the planes is not Lagrangian) raises
+    DualBasisFailure."""
     # L4 is (cos(phi) I; sin(phi) I), so G_k = cos(phi) Y_k - sin(phi) X_k.
     c, s = l4.x[0, 0].real, l4.y[0, 0].real
     g = np.stack([c * p.y - s * p.x for p in planes])
     l1, l2, l3 = planes
     p_aw = np.stack([frame_pairing(la.x, la.y, w.x, w.y) for la, w in ((l1, l2), (l1, l3), (l2, l3))])
-    return checked_hermitian_part(p_aw @ np.linalg.solve(g[[1, 2, 2]], g[[0, 0, 1]]), tol,
-                                  DualBasisFailure, "reduction graph matrix")
+    try:
+        solved = np.linalg.solve(g[[1, 2, 2]], g[[0, 0, 1]])
+    except np.linalg.LinAlgError as exc:
+        raise DualBasisFailure("a companion pairing is exactly singular") from exc
+    return checked_hermitian_part(p_aw @ solved, tol, DualBasisFailure, "reduction graph matrix")
 
 
 def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
@@ -189,8 +194,8 @@ def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianP
     and the term is the Morse index of B.
 
     The companion's count-rule verdict is the only transversality check.
-    An asymmetric B, from a non-Lagrangian plane, raises SelectionFailed
-    from DualBasisFailure.  ``seed`` is accepted and unused.
+    An asymmetric B, from a non-Lagrangian plane, or an exactly singular
+    companion pairing raises SelectionFailed from DualBasisFailure.  ``seed`` is accepted and unused.
     """
     l4, margin = transversal_companion((l1, l2, l3), tol)
     try:

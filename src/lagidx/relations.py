@@ -25,7 +25,7 @@ from .hermitian import (
     hermitian_part,
     kernel_basis,
 )
-from .planes import LagrangianPlane, _same_dimension, plane_from_frame
+from .planes import LagrangianPlane, _same_dimension, plane_from_frame, trusted_plane
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,24 @@ class RelationParts:
     mul_dim: int
 
 
+def _graph_split(plane: LagrangianPlane, tol: TolerancePolicy) -> tuple[int, np.ndarray, np.ndarray]:
+    """One SVD of X: its count-rule rank r, its left singular vectors U
+    (the first r span the domain, the rest the multivalued part) and
+    Y X^+, with the pseudoinverse X^+ = V_r S_r^-1 U_r* taken from it."""
+    u, s, vh = np.linalg.svd(plane.x)
+    r = count_above_cutoff(s, tol)
+    x_pinv = vh[:r].conj().T @ (u[:, :r].conj().T / s[:r, None])
+    return r, u, plane.y @ x_pinv
+
+
+def _operator_part(u: np.ndarray, r: int, y_xpinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The domain projector P = U_r U_r* and the operator part
+    P Y X^+ P, both symmetrized, from :func:`_graph_split`."""
+    ur = u[:, :r]
+    p = hermitian_part(ur @ ur.conj().T)
+    return p, hermitian_part(p @ y_xpinv @ p)
+
+
 def decompose(plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> RelationParts:
     """Split a plane into (domain projector, operator part, mul dimension).
 
@@ -45,12 +63,8 @@ def decompose(plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> Rel
     P Y X^+ compressed to the domain and symmetrized, with the
     pseudoinverse X^+ = V_r S_r^-1 U_r* taken from the same SVD.
     """
-    u, s, vh = np.linalg.svd(plane.x)
-    r = count_above_cutoff(s, tol)
-    ur = u[:, :r]
-    p = hermitian_part(ur @ ur.conj().T)
-    x_pinv = vh[:r].conj().T @ (ur.conj().T / s[:r, None])
-    op = hermitian_part(p @ (plane.y @ x_pinv) @ p)
+    r, u, y_xpinv = _graph_split(plane, tol)
+    p, op = _operator_part(u, r, y_xpinv)
     return RelationParts(p, op, plane.n - r)
 
 
@@ -74,24 +88,45 @@ def reconstruct(parts: RelationParts, tol: TolerancePolicy = DEFAULT_TOL) -> Lag
 
 
 def difference(l: LagrangianPlane, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
-    """The relation difference {(u, vL - vM)} of two planes.
+    """The relation difference L - M = {(u, v_L - v_M)} of two planes.
 
-    Pairs (s, t) with X_L s = X_M t form the kernel of [X_L, -X_M]; each
-    pair maps to the vector (X_L s, Y_L s - Y_M t), and the span of those
-    images is the difference plane.  The first n left singular vectors
-    are its canonical frame: orthonormal already, injective by the rank
-    check and Lagrangian because both planes are, so the frame is neither
-    validated nor orthonormalized again.
+    M splits as the graph of its operator part A = P Y_M X_M^+ P over
+    its domain, plus its multivalued part mul M = dom M^perp (the same
+    SVD of X_M as :func:`decompose`).  Hence
+
+        L - M = S_A (L ∩ (dom M + C^n)) + (0 + mul M),
+
+    with the symplectic shear S_A = [[I, 0], [-A, I]].  When M is a graph
+    (X_M of full count-rule rank), L ∩ (dom M + C^n) is all of L and the
+    frame (X_L; Y_L - A X_L) is injective and Lagrangian by construction,
+    so it is only orthonormalized.  Otherwise N, the kernel basis of
+    U_mul* X_L, spans the pairs of L over dom M, and the stacked frame
+    [[X_L N, 0], [(Y_L - A X_L) N, U_mul]] spans the difference; its
+    columns outnumber n exactly when mul L and mul M meet, so its first
+    n left singular vectors are the canonical frame, after a count-rule
+    check that it has rank n (RankDeficient otherwise).
     """
     n = _same_dimension((l, m), "difference")[0].n
-    pairs = kernel_basis(np.hstack([l.x, -m.x]), tol)
-    s_part, t_part = pairs[:n], pairs[n:]
-    vecs = np.vstack([l.x @ s_part, l.y @ s_part - m.y @ t_part])
-    u, sv, _ = np.linalg.svd(vecs, full_matrices=False)
-    r = count_above_cutoff(sv, tol)
-    if r != n:
-        raise RankDeficient(f"difference span has rank {r}, expected {n}")
-    return LagrangianPlane(u[:n, :n], u[n:, :n])
+    r, u, y_xpinv = _graph_split(m, tol)
+    if r == n:
+        z = np.empty((2 * n, n), dtype=complex)
+        z[:n] = l.x
+        np.matmul(hermitian_part(y_xpinv), l.x, out=z[n:])
+        np.subtract(l.y, z[n:], out=z[n:])
+        return trusted_plane(z)
+    _, a = _operator_part(u, r, y_xpinv)
+    u_mul = u[:, r:]
+    pairs = kernel_basis(u_mul.conj().T @ l.x, tol)
+    k = pairs.shape[1]
+    z = np.zeros((2 * n, k + n - r), dtype=complex)
+    z[:n, :k] = l.x @ pairs
+    z[n:, :k] = l.y @ pairs - a @ z[:n, :k]
+    z[n:, k:] = u_mul
+    q, sv, _ = np.linalg.svd(z, full_matrices=False)
+    rank = count_above_cutoff(sv, tol)
+    if rank != n:
+        raise RankDeficient(f"difference span has rank {rank}, expected {n}")
+    return LagrangianPlane(q[:n, :n], q[n:, :n])
 
 
 def inverse(plane: LagrangianPlane) -> LagrangianPlane:

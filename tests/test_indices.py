@@ -240,6 +240,21 @@ def test_reduce_failure_is_typed(rng, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_reduce_singular_companion_pairing_is_typed(seed, monkeypatch):
+    # A companion that meets the middle plane, L2 = (cos 1 U; sin 1 U) against
+    # (cos 1 I; sin 1 I), makes the pairing G_2 singular; on many seeds
+    # LAPACK finds it exactly singular in the solve, which must end in a
+    # typed error and not in numpy's LinAlgError.
+    n, c, s = 3, np.cos(1.0), np.sin(1.0)
+    companion = LagrangianPlane(c * np.eye(n, dtype=complex), s * np.eye(n, dtype=complex))
+    monkeypatch.setattr(lagidx.indices, "transversal_companion", lambda planes, tol: (companion, 1.0))
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    with pytest.raises(LagidxError):
+        duistermaat_reduce(random_plane(n, rng), LagrangianPlane(c * u, s * u), random_plane(n, rng))
+
+
 def test_cocycle_property(rng):
     for n in (1, 2, 3):
         quad = [random_plane(n, rng) for _ in range(4)]

@@ -5,8 +5,10 @@ from lagidx import (
     ValidationError,
     apply_symplectic,
     compress,
+    LagrangianPlane,
     decompose,
     difference,
+    direct_sum_planes,
     graph_plane,
     horizontal_plane,
     intersection_dim,
@@ -16,7 +18,7 @@ from lagidx import (
     random_plane_with_mul,
     vertical_plane,
 )
-from lagidx.hermitian import random_hermitian
+from lagidx.hermitian import count_above_cutoff, kernel_basis, random_hermitian
 from lagidx.planes import validate_frame
 from lagidx.relations import RelationParts, reconstruct
 
@@ -99,12 +101,59 @@ def test_difference_frames_are_valid(rng, tol):
     for trial in range(30):
         n = 1 + trial % 5
         plane = random_plane_with_mul(n, trial % (n + 1), rng, tol)
-        for other in (graph_plane(random_hermitian(n, rng)), random_plane(n, rng)):
-            if intersection_dim(other, vertical_plane(n), tol):
-                continue
+        others = (graph_plane(random_hermitian(n, rng)), random_plane(n, rng),
+                  random_plane_with_mul(n, 1 + trial % n, rng, tol))
+        for other in others:
             d = difference(plane, other, tol)
             validate_frame(d.x, d.y, tol)
             assert np.allclose(d.stacked.conj().T @ d.stacked, np.eye(n), atol=1e-12)
+
+
+def _difference_by_kernel(l, m, tol):
+    # Reference route: the pairs (s, t) with X_L s = X_M t form the kernel
+    # of [X_L, -X_M], and their images (X_L s, Y_L s - Y_M t) span L - M.
+    n = l.n
+    pairs = kernel_basis(np.hstack([l.x, -m.x]), tol)
+    s_part, t_part = pairs[:n], pairs[n:]
+    u, sv, _ = np.linalg.svd(np.vstack([l.x @ s_part, l.y @ s_part - m.y @ t_part]), full_matrices=False)
+    assert count_above_cutoff(sv, tol) == n
+    return LagrangianPlane(u[:n, :n], u[n:, :n])
+
+
+def _assert_difference_matches_kernel_route(l, m, tol):
+    d = difference(l, m, tol)
+    validate_frame(d.x, d.y, tol)
+    assert np.allclose(d.stacked.conj().T @ d.stacked, np.eye(l.n), atol=1e-12)
+    assert planes_equal(d, _difference_by_kernel(l, m, tol), tol)
+    return d
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_difference_of_non_graphs_matches_kernel_route(n, rng, tol):
+    vertical = vertical_plane(n)
+    for k in range(1, n + 1):
+        m = random_plane_with_mul(n, k, rng, tol)
+        for l in (random_plane(n, rng), random_plane_with_mul(n, n - k, rng, tol), graph_plane(random_hermitian(n, rng))):
+            _assert_difference_matches_kernel_route(l, m, tol)
+        # L - vertical is vertical for every L.
+        d = _assert_difference_matches_kernel_route(random_plane_with_mul(n, k - 1, rng, tol), vertical, tol)
+        assert planes_equal(d, vertical, tol)
+        # Shared multivalued parts: mul L ∩ mul M holds 0 + C^k, so the
+        # stacked frame has more than n columns.
+        if k < n:
+            l = direct_sum_planes(vertical_plane(k), random_plane(n - k, rng))
+            m = direct_sum_planes(vertical_plane(k), random_plane_with_mul(n - k, (n - k) // 2, rng, tol))
+            _assert_difference_matches_kernel_route(l, m, tol)
+    assert planes_equal(_assert_difference_matches_kernel_route(vertical, vertical, tol), vertical, tol)
+
+
+def test_difference_of_large_graphs_matches_shear(rng, tol):
+    n = 32
+    for _ in range(2):
+        plane = random_plane(n, rng)
+        a = random_hermitian(n, rng)
+        shear = np.block([[np.eye(n), np.zeros((n, n))], [-a, np.eye(n)]])
+        assert planes_equal(difference(plane, graph_plane(a), tol), apply_symplectic(shear, plane, tol), tol)
 
 
 def test_inverse(rng, tol):
