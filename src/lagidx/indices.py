@@ -195,7 +195,8 @@ def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianP
 
     The companion's count-rule verdict is the only transversality check.
     An asymmetric B, from a non-Lagrangian plane, or an exactly singular
-    companion pairing raises SelectionFailed from DualBasisFailure.  ``seed`` is accepted and unused.
+    companion pairing raises SelectionFailed from DualBasisFailure.
+    ``seed`` is accepted and unused.
     """
     l4, margin = transversal_companion((l1, l2, l3), tol)
     try:
