@@ -23,6 +23,7 @@ and injective by construction.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -45,7 +46,7 @@ class TolerancePolicy:
     def __post_init__(self):
         for name in ("rank_rel_tol", "residual_tol"):
             value = getattr(self, name)
-            if not 0.0 < value < 1.0:
+            if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
                 raise ValidationError(f"{name} must lie strictly between 0 and 1, got {value}")
 
 
@@ -73,8 +74,12 @@ class Inertia:
 
 
 def _as_finite_matrix(a, what: str) -> np.ndarray:
-    """A 2-D complex array with finite entries, in any layout, else ValidationError."""
-    m = np.asarray(a, dtype=complex)
+    """A 2-D complex array with finite entries, in any layout, else ValidationError.
+    Every public matrix argument but that of ``hermitian_part`` becomes an array here."""
+    try:
+        m = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} expects a matrix of numbers") from exc
     if m.ndim != 2:
         raise ValidationError(f"{what} expects a matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -112,24 +117,20 @@ def hermitian_part(a) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def checked_hermitian_part(m: np.ndarray, tol: TolerancePolicy, error: type,
-                           what: str | list[str]) -> np.ndarray:
-    """Hermitian part of a matrix, or of each matrix of a stack, that the
-    library built through an inverse and so is Hermitian only up to
-    rounding.  An asymmetry above ``sqrt(residual_tol) * max(1, |M|)``
-    means the construction broke down and raises ``error``.
+def checked_hermitian_part(m: np.ndarray, tol: TolerancePolicy, error: type, names: list[str]) -> np.ndarray:
+    """Hermitian part of each matrix of a stack that the library built
+    through an inverse, and so is Hermitian only up to rounding.  An
+    asymmetry above ``sqrt(residual_tol) * max(1, |M|)`` means the
+    construction broke down and raises ``error``.
 
-    ``what`` names the matrix or stack; a list of names, one per entry of
-    the leading axis, makes the error name the first entry that fails and
-    its own largest asymmetry."""
+    ``names`` holds one name per entry of the leading axis; the error
+    names the first entry that fails and its own largest asymmetry."""
     asym = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
     bound = np.sqrt(tol.residual_tol) * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
     failed = asym > bound
     if np.any(failed):
-        if isinstance(what, list):
-            first = int(np.argmax(failed.reshape(len(what), -1).any(axis=1)))
-            what, asym = what[first], asym[first]
-        raise error(f"{what} asymmetry {np.max(asym):.3e} exceeds sqrt(residual_tol) * max(1, |M|)")
+        k = int(np.argmax(failed.reshape(len(names), -1).any(axis=1)))
+        raise error(f"{names[k]} asymmetry {np.max(asym[k]):.3e} exceeds sqrt(residual_tol) * max(1, |M|)")
     return hermitian_part(m)
 
 

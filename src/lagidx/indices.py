@@ -178,7 +178,7 @@ def _reduction_graphs(planes, l4: LagrangianPlane, tol: TolerancePolicy) -> np.n
         solved = np.linalg.solve(g[[1, 2, 2]], g[[0, 0, 1]])
     except np.linalg.LinAlgError as exc:
         raise DualBasisFailure("a companion pairing is exactly singular") from exc
-    return checked_hermitian_part(p_aw @ solved, tol, DualBasisFailure, "reduction graph matrix")
+    return checked_hermitian_part(p_aw @ solved, tol, DualBasisFailure, ["B(L1, L2)", "B(L1, L3)", "B(L2, L3)"])
 
 
 def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,

@@ -26,6 +26,7 @@ object is refused, so no Maslov answer comes from sampling.
 from __future__ import annotations
 
 import bisect
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,13 +204,15 @@ def reparametrize(path, phi, dphi) -> ReparametrizedPath:
     phi must fix both ends and must not turn back: on 256 points phi must
     increase strictly and dphi must be positive, except at t = 0 and t = 1
     where it may vanish (as for t^2 (3 - 2t)).  A sample of phi or dphi
-    that is not finite raises ValidationError too, as does a base that
-    is not a path of this module.
+    that is not a finite real number raises ValidationError too, as does
+    a base that is not a path of this module.
     """
     _solvable(path, "reparametrize")
     ts = np.linspace(0.0, 1.0, _MONOTONE_GRID).tolist()
     values = [phi(t) for t in ts]
     rates = [dphi(t) for t in ts[1:-1]]
+    if not all(isinstance(v, numbers.Real) for v in values + rates):
+        raise ValidationError("reparametrize needs phi and dphi that return real numbers")
     if not (np.isfinite(values).all() and np.isfinite(rates).all()):
         raise ValidationError("reparametrize needs finite phi and dphi")
     if abs(values[0]) > DEFAULT_TOL.residual_tol or abs(values[-1] - 1.0) > DEFAULT_TOL.residual_tol:
@@ -240,12 +243,12 @@ def crossing_form(path, t0: float, m: LagrangianPlane, tol: TolerancePolicy = DE
     reference plane, in the moving frame's kernel coordinates.
 
     Raises NoCrossing when the intersection is trivial at t0, and
-    ValidationError when t0 is nan or outside [0, 1], where the frame would
-    be extrapolated off the path.
+    ValidationError when t0 is not a real number, or is nan or outside
+    [0, 1], where the frame would be extrapolated off the path.
     """
     _solvable(path, "crossing_form")
     _same_dimension((path, m), "crossing_form")
-    if not 0.0 <= t0 <= 1.0:
+    if not (isinstance(t0, numbers.Real) and 0.0 <= t0 <= 1.0):
         raise ValidationError(f"crossing_form needs t0 in [0, 1], got {t0}")
     x, y = path.frame_at(t0)
     basis = kernel_basis(frame_pairing(m.x, m.y, x, y), tol)

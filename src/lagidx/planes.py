@@ -10,6 +10,7 @@ canonical frame so that frame-dependent quantities are well defined.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -118,8 +119,8 @@ def plane_from_frame(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlan
 
 def plane_from_stacked(z, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
     """Plane from a stacked 2n x n frame."""
-    zm = np.asarray(z, dtype=complex)
-    if zm.ndim != 2 or zm.shape[0] != 2 * zm.shape[1]:
+    zm = _as_finite_matrix(z, "plane_from_stacked")
+    if zm.shape[0] != 2 * zm.shape[1]:
         raise ValidationError(f"stacked frame must be 2n x n, got {zm.shape}")
     n = zm.shape[1]
     return plane_from_frame(zm[:n], zm[n:], tol)
@@ -178,7 +179,7 @@ def principal_angles(l1: LagrangianPlane, l2: LagrangianPlane) -> np.ndarray:
 
 def apply_symplectic(s, plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
     """Image of a plane under a (anti)symplectic matrix, re-canonicalized."""
-    sm = np.asarray(s, dtype=complex)
+    sm = _as_finite_matrix(s, "apply_symplectic")
     if sm.shape != (2 * plane.n, 2 * plane.n):
         raise ValidationError(f"map shape {sm.shape} does not match plane dimension {plane.n}")
     return plane_from_stacked(sm @ plane.stacked, tol)
@@ -275,35 +276,29 @@ def robin_map(plane: LagrangianPlane, epsilon: float, tol: TolerancePolicy = DEF
 
     Hermitian for real eps outside a finite exceptional set.  The epsilon
     is the caller's, not one of :func:`epsilon_select`, so it is checked
-    first: one that is not finite raises ValidationError, and an
-    X + eps Y of count-rule rank below n raises SingularEpsilon.  The
-    result is symmetrized after an asymmetry check."""
-    if not np.isfinite(epsilon):
-        raise ValidationError(f"Robin epsilon must be finite, got {epsilon}")
+    first: one that is not a finite real number raises ValidationError,
+    and an X + eps Y of count-rule rank below n raises SingularEpsilon.
+    The result is symmetrized after an asymmetry check."""
+    if not (isinstance(epsilon, numbers.Real) and np.isfinite(epsilon)):
+        raise ValidationError(f"Robin epsilon must be a finite real number, got {epsilon!r}")
     if count_above_cutoff(np.linalg.svd(plane.x + epsilon * plane.y, compute_uv=False), tol) < plane.n:
         raise SingularEpsilon(f"X + {epsilon} Y has count-rule rank below {plane.n}")
-    return robin_matrices((plane,), epsilon, tol)[0]
+    return robin_matrices((plane,), (epsilon,), tol)[0, 0]
 
 
-def robin_matrices(planes, epsilon, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """The matrices of :func:`robin_map` for planes of one dimension, as a
-    (k, n, n) stack built with one stacked inverse.
-
-    A sequence of m epsilons gives an (m, k, n, n) stack from the same one
-    inverse and one asymmetry check, bit for bit the stacks of the single
-    epsilons.  Each epsilon must come from :func:`epsilon_select` for these
-    planes, which has already decided the count-rule rank of the same
-    X + eps Y in closed form; any other epsilon goes through
-    :func:`robin_map`.  An asymmetric map raises
-    SingularEpsilon, naming the first epsilon that gave one."""
+def robin_matrices(planes, epsilons, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """The matrices of :func:`robin_map` for k planes of one dimension at
+    each of a sequence of m epsilons, as an (m, k, n, n) stack built with
+    one stacked inverse and one asymmetry check; each (k, n, n) entry is
+    bit for bit the stack of its epsilon alone.  Each epsilon must come
+    from :func:`epsilon_select` for these planes, which has already
+    decided the count-rule rank of the same X + eps Y in closed form; any
+    other epsilon goes through :func:`robin_map`.  An asymmetric map
+    raises SingularEpsilon, naming the first epsilon that gave one."""
     xs, ys = _stacked_frames(planes, "robin_matrices")
-    eps = np.asarray(epsilon, dtype=float)
-    if eps.ndim:
-        what = [f"Robin map at epsilon {e:.6g}" for e in eps.tolist()]
-        eps = eps[:, None, None, None]
-    else:
-        what = f"Robin map at epsilon {epsilon:.6g}"
-    return checked_hermitian_part(ys @ np.linalg.inv(xs + eps * ys), tol, SingularEpsilon, what)
+    eps = np.asarray(epsilons, dtype=float)[:, None, None, None]
+    names = [f"Robin map at epsilon {e:.6g}" for e in epsilons]
+    return checked_hermitian_part(ys @ np.linalg.inv(xs + eps * ys), tol, SingularEpsilon, names)
 
 
 def random_plane(n: int, seed=None, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
@@ -324,7 +319,8 @@ def random_plane_with_mul(n: int, mul_dim: int, seed=None, tol: TolerancePolicy 
     Hermitian operator on D; mul_dim = dim D^perp by construction.
     """
     n = _as_dimension(n)
-    if _as_dimension(mul_dim, "mul_dim", 0) > n:
+    mul_dim = _as_dimension(mul_dim, "mul_dim", 0)
+    if mul_dim > n:
         raise ValidationError(f"mul_dim must lie in [0, {n}], got {mul_dim}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -18,6 +18,7 @@ from .hermitian import (
     DEFAULT_TOL,
     TolerancePolicy,
     _as_dimension,
+    _as_finite_matrix,
     _as_projector,
     _same_shape,
     as_hermitian,
@@ -71,7 +72,7 @@ def decompose(plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> Rel
 def reconstruct(parts: RelationParts, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
     """Plane {(x, Lx + y) : x in dom, y in mul} rebuilt from its parts."""
     p = as_hermitian(parts.dom_projector, tol, "domain projector")
-    op = np.asarray(parts.operator_part)
+    op = _as_finite_matrix(parts.operator_part, "operator part")
     _same_shape((p, op), "reconstruct")
     mul_dim = _as_dimension(parts.mul_dim, "mul_dim", 0)
     w, v = np.linalg.eigh(p)

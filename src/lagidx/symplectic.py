@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .hermitian import DEFAULT_TOL, TolerancePolicy, _as_dimension, random_hermitian
+from .hermitian import DEFAULT_TOL, TolerancePolicy, _as_dimension, _as_finite_matrix, random_hermitian
 
 
 def standard_form(n: int) -> np.ndarray:
@@ -43,10 +43,10 @@ def omega(u, v) -> complex:
     return complex(frame_pairing(*uu.reshape(2, -1, 1), *vv.reshape(2, -1, 1))[0, 0])
 
 
-def _check_even_square(s) -> tuple[np.ndarray, int]:
-    m = np.asarray(s, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-        raise ValidationError(f"expected a square even-dimensional matrix, got shape {m.shape}")
+def _check_even_square(s, what: str) -> tuple[np.ndarray, int]:
+    m = _as_finite_matrix(s, what)
+    if m.shape[0] != m.shape[1] or m.shape[0] % 2:
+        raise ValidationError(f"{what} expects a square even-dimensional matrix, got shape {m.shape}")
     return m, m.shape[0] // 2
 
 
@@ -58,13 +58,13 @@ def _form_residual(m: np.ndarray) -> float:
 
 def is_symplectic(s, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """True when ||S* J S - J|| <= residual_tol * ||J||, where ||J|| = sqrt(2n)."""
-    m, n = _check_even_square(s)
+    m, n = _check_even_square(s, "is_symplectic")
     return _form_residual(m) <= tol.residual_tol * np.sqrt(2 * n)
 
 
 def is_antisymplectic(s, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """True when S with its row blocks swapped, whose pairing is -S* J S, is symplectic."""
-    m, n = _check_even_square(s)
+    m, n = _check_even_square(s, "is_antisymplectic")
     return is_symplectic(np.vstack([m[n:], m[:n]]), tol)
 
 
@@ -166,8 +166,8 @@ def direct_sum_maps(s1, s2) -> np.ndarray:
     Uses the fixed index interleaving (x1, x2, y1, y2): the x-block of
     the sum is the concatenation of the two x-blocks, same for y.
     """
-    m1, a = _check_even_square(s1)
-    m2, b = _check_even_square(s2)
+    m1, a = _check_even_square(s1, "direct_sum_maps")
+    m2, b = _check_even_square(s2, "direct_sum_maps")
     block = np.zeros((2 * (a + b), 2 * (a + b)), dtype=complex)
     block[:2 * a, :2 * a] = m1
     block[2 * a:, 2 * a:] = m2

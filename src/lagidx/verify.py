@@ -268,7 +268,7 @@ def check_factorization(n, rng, tol):
     l1, l2, l3 = _sample_triple(n, rng, tol)
     eps, _, _ = epsilon_select((l1, l2, l3), tol)
     w = omega_form(l1, l2, l3)
-    r1, r2, r3 = robin_matrices((l1, l2, l3), eps, tol)
+    r1, r2, r3 = robin_matrices((l1, l2, l3), (eps,), tol)[0]
     eye = np.eye(n)
     t = np.block([[-eye, eye, eye], [eye, -eye, eye], [eye, eye, -eye]])
     d = np.zeros((3 * n, 3 * n), dtype=complex)
@@ -340,20 +340,17 @@ def check_morse_kernel(case, n, rng, tol):
     return _holds(morse_difference_kernel(a, b, case, tol))
 
 
-def _retry_degenerate(draw_and_check):
-    for attempt in range(_DEGENERATE_RETRIES + 1):
-        try:
-            return draw_and_check()
-        except (DegenerateCrossing, UnresolvedCluster) as exc:
-            if attempt == _DEGENERATE_RETRIES:
-                return False, {"error": str(exc)}
-
-
 def _redrawn(check):
-    """The check, redrawn by ``_retry_degenerate`` on degenerate or unresolved crossings."""
+    """The check, redrawn up to ``_DEGENERATE_RETRIES`` times on degenerate
+    or unresolved crossings; the last such error fails the trial."""
     @wraps(check)
     def redrawn(n, rng, tol):
-        return _retry_degenerate(lambda: check(n, rng, tol))
+        for attempt in range(_DEGENERATE_RETRIES + 1):
+            try:
+                return check(n, rng, tol)
+            except (DegenerateCrossing, UnresolvedCluster) as exc:
+                if attempt == _DEGENERATE_RETRIES:
+                    return False, {"error": str(exc)}
     return redrawn
 
 

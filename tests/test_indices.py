@@ -426,7 +426,10 @@ def test_index_report_bounds_guard(rng):
         kashiwara(*others, broken)
     # A plane built directly from a frame that is not Lagrangian, in each
     # position: the reduction sees the asymmetry of its graph matrices and
-    # raises instead of symmetrizing it away.
+    # raises instead of symmetrizing it away.  B(L1, L3) does not involve
+    # L2, so a broken L1 or L2 shows first in B(L1, L2), a broken L3 in
+    # B(L1, L3), and the error names that matrix.
+    first_broken = ("B(L1, L2)", "B(L1, L2)", "B(L1, L3)")
     for n in (1, 2, 3, 6):
         for position in range(3):
             triple = [random_plane(n, rng) for _ in range(3)]
@@ -436,3 +439,4 @@ def test_index_report_bounds_guard(rng):
             with pytest.raises(SelectionFailed) as info:
                 duistermaat_reduce(*triple, seed=position)
             assert isinstance(info.value.__cause__, DualBasisFailure)
+            assert str(info.value.__cause__).startswith(f"{first_broken[position]} asymmetry ")

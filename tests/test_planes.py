@@ -242,15 +242,15 @@ def test_robin_matrices_pair_matches_single_epsilons(rng, tol):
         e1, e2, _ = epsilon_select(planes, tol)
         pair = robin_matrices(planes, (e1, e2), tol)
         assert pair.shape == (2, 3, n, n)
-        assert np.array_equal(pair[0], robin_matrices(planes, e1, tol))
-        assert np.array_equal(pair[1], robin_matrices(planes, e2, tol))
+        assert np.array_equal(pair[0], robin_matrices(planes, (e1,), tol)[0])
+        assert np.array_equal(pair[1], robin_matrices(planes, (e2,), tol)[0])
     # A plane built directly from a frame that is not Lagrangian: the pair
     # raises the error of its first epsilon, word for word.
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, _ = np.linalg.qr(np.vstack([np.eye(2), g]))
     broken = [LagrangianPlane(q[:2], q[2:])]
     with pytest.raises(SingularEpsilon) as single:
-        robin_matrices(broken, 0.5, tol)
+        robin_matrices(broken, (0.5,), tol)
     with pytest.raises(SingularEpsilon) as pair:
         robin_matrices(broken, (0.5, 0.25), tol)
     assert str(pair.value) == str(single.value)

@@ -1,14 +1,26 @@
 """Each input condition is checked by one helper, called at every public
 entry point that needs it: a finite matrix in any memory layout, planes
 of one dimension, matrices of one shape, a dimension argument that is
-an integer >= 1, and a path the Maslov pencils can solve."""
+an integer >= 1, and a path the Maslov pencils can solve.
+
+The finite-matrix condition is run at every public entry point that
+takes a matrix: a non-numeric or ragged argument, and a map with NaN
+entries, raise ValidationError, never numpy's own errors or a False or
+NaN result.  Scalar arguments that are not real numbers (a Robin
+epsilon, a tolerance, a crossing parameter, the values of a schedule)
+raise ValidationError naming the argument."""
 
 import numpy as np
 import pytest
 
 from lagidx import (
+    RelationParts,
+    TolerancePolicy,
     ValidationError,
+    apply_symplectic,
+    compress,
     difference,
+    direct_sum_maps,
     duistermaat,
     duistermaat_graphs,
     duistermaat_relation_vertical,
@@ -18,23 +30,36 @@ from lagidx import (
     find_crossings,
     graph_plane,
     graph_segment,
+    haynsworth_check,
     horizontal_plane,
     index_via_resolvent_difference,
     inertia,
     intersection_dim,
+    is_antisymplectic,
     is_nondecreasing,
+    is_symplectic,
     kashiwara,
+    kernel_basis,
     minimal_path,
     morse_difference_invertible,
+    morse_difference_kernel,
+    morse_sum_invertible,
+    n_minus,
     omega_form,
     plane_from_frame,
+    plane_from_stacked,
     planes_equal,
+    pseudoinverse,
     random_hermitian,
     random_plane,
     random_plane_with_mul,
     random_symplectic,
+    range_projector,
+    rank,
+    reconstruct,
     reparametrize,
     robin_map,
+    scaled_projector_path,
     standard_form,
     swap_map,
     transversal_companion,
@@ -144,6 +169,52 @@ def test_integer_dimensions_are_accepted_as_numpy_integers():
     assert standard_form(n).shape == swap_map(n).shape == (4, 4)
     assert planes_equal(horizontal_plane(n), graph_plane(np.zeros((2, 2))))
     assert intersection_dim(random_plane_with_mul(3, np.int64(1), 0), vertical_plane(3)) == 1
+    assert intersection_dim(random_plane_with_mul(2, True, 0), vertical_plane(2)) == 1
+
+
+# Every public entry point that takes a matrix, fed the matrix ``m`` in
+# one argument and valid data in the others.
+EYE2 = np.eye(2)
+MATRIX_ENTRY_POINTS = {
+    "inertia": inertia,
+    "n_minus": n_minus,
+    "rank": rank,
+    "kernel_basis": kernel_basis,
+    "pseudoinverse": pseudoinverse,
+    "range_projector": range_projector,
+    "graph_plane": graph_plane,
+    "plane_from_frame": lambda m: plane_from_frame(m, EYE2),
+    "plane_from_stacked": plane_from_stacked,
+    "apply_symplectic": lambda m: apply_symplectic(m, L2),
+    "is_symplectic": is_symplectic,
+    "is_antisymplectic": is_antisymplectic,
+    "direct_sum_maps": lambda m: direct_sum_maps(m, swap_map(1)),
+    "compress": lambda m: compress(m, EYE2),
+    "graph_segment": lambda m: graph_segment(m, EYE2),
+    "scaled_projector_path": scaled_projector_path,
+    "duistermaat_graphs": lambda m: duistermaat_graphs(m, EYE2, EYE2),
+    "duistermaat_relation_vertical": lambda m: duistermaat_relation_vertical(m, L2, "graph_first"),
+    "morse_difference_invertible": lambda m: morse_difference_invertible(m, EYE2),
+    "morse_difference_kernel": lambda m: morse_difference_kernel(m, EYE2, "kerA_in_kerB"),
+    "morse_sum_invertible": lambda m: morse_sum_invertible(m, EYE2),
+    "haynsworth_check": lambda m: haynsworth_check(m, EYE2),
+    "custom_path": lambda m: custom_path([0.0, 1.0], [m, EYE2], [EYE2, EYE2]),
+    "reconstruct": lambda m: reconstruct(RelationParts(EYE2, m, 0)),
+}
+NOT_MATRICES = {"non-numeric": [["a", "b"], ["c", "d"]], "ragged": [[1, 2], [3]]}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_MATRICES))
+@pytest.mark.parametrize("name", sorted(MATRIX_ENTRY_POINTS))
+def test_matrix_arguments_that_are_not_matrices_of_numbers_raise_validation_error(name, kind):
+    with pytest.raises(ValidationError, match="expects a matrix of numbers"):
+        MATRIX_ENTRY_POINTS[name](NOT_MATRICES[kind])
+
+
+@pytest.mark.parametrize("name", ["apply_symplectic", "direct_sum_maps", "is_antisymplectic", "is_symplectic"])
+def test_maps_with_nan_entries_raise_validation_error(name):
+    with pytest.raises(ValidationError, match=f"^{name} expects finite entries$"):
+        MATRIX_ENTRY_POINTS[name](np.full((4, 4), np.nan))
 
 
 # The segment (I; t I) extrapolated to t0 = 2 or -1 meets the reference
@@ -162,8 +233,30 @@ OUT_OF_DOMAIN = {
 
 @pytest.mark.parametrize("name", sorted(OUT_OF_DOMAIN))
 def test_scalar_arguments_outside_their_domain_raise_validation_error(name):
-    with pytest.raises(ValidationError, match=r"t0 in \[0, 1\]|must be finite"):
+    with pytest.raises(ValidationError, match=r"t0 in \[0, 1\]|must be a finite real number"):
         OUT_OF_DOMAIN[name]()
+
+
+# Scalar arguments that are not real numbers, each with the argument its
+# error names.
+NOT_REAL = {
+    "robin_map-str": ("Robin epsilon", lambda: robin_map(horizontal_plane(1), "a")),
+    "robin_map-None": ("Robin epsilon", lambda: robin_map(horizontal_plane(1), None)),
+    "robin_map-array": ("Robin epsilon", lambda: robin_map(horizontal_plane(1), np.array([0.5, 0.6]))),
+    "TolerancePolicy-str": ("rank_rel_tol", lambda: TolerancePolicy("a")),
+    "TolerancePolicy-None": ("rank_rel_tol", lambda: TolerancePolicy(None)),
+    "TolerancePolicy-residual_tol-str": ("residual_tol", lambda: TolerancePolicy(residual_tol="a")),
+    "crossing_form-str": ("t0", lambda: crossing_form(SEGMENT, "a", graph_plane([[0.5]]))),
+    "reparametrize-phi-str": ("phi", lambda: reparametrize(SEGMENT, lambda t: "a", lambda t: 1.0)),
+    "reparametrize-dphi-str": ("dphi", lambda: reparametrize(SEGMENT, lambda t: t, lambda t: "a")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_REAL))
+def test_scalar_arguments_that_are_not_real_numbers_raise_validation_error(name):
+    argument, op = NOT_REAL[name]
+    with pytest.raises(ValidationError, match=argument):
+        op()
 
 
 class FramePath:

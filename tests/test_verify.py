@@ -19,14 +19,15 @@ def test_shrinker_draws_children_of_the_failing_trial(monkeypatch):
     assert shrunk["seed_entropy"] == at[4].seed_entropy + [2, 0]
 
 
-def test_retry_degenerate_redraws_then_reports():
+def test_redrawn_check_redraws_then_reports():
     calls = []
 
-    def always_degenerate():
+    @verify._redrawn
+    def always_degenerate(n, rng, tol):
         calls.append(None)
         raise DegenerateCrossing("degenerate sample")
 
-    ok, details = verify._retry_degenerate(always_degenerate)
+    ok, details = always_degenerate(1, None, None)
     assert not ok
     assert details == {"error": "degenerate sample"}
     assert len(calls) == verify._DEGENERATE_RETRIES + 1
