@@ -77,7 +77,6 @@ from .planes import (
     LagrangianPlane,
     apply_symplectic,
     direct_sum_planes,
-    epsilon_select,
     graph_plane,
     horizontal_plane,
     intersection_dim,
@@ -88,8 +87,6 @@ from .planes import (
     random_plane,
     random_plane_with_mul,
     robin_map,
-    transversal_companion,
-    transversal_normalization,
     vertical_plane,
 )
 from .relations import RelationParts, compress, decompose, difference, inverse, reconstruct

@@ -166,17 +166,14 @@ def _cmd_maslov(args) -> int:
 
 
 def _parse_n_range(text: str) -> list[int]:
+    """The dimensions of ``--n``; ``verify.run_suite`` refuses an empty range or one below 1."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(v) for v in text.split(",")]
-    except ValueError:  # a part that is not an integer
-        values = []
-    if not values or any(v < 1 for v in values):
-        raise ValidationError(f"bad dimension range {text!r}")
-    return values
+            return list(range(int(lo), int(hi) + 1))
+        return [int(v) for v in text.split(",")]
+    except ValueError as exc:  # a part that is not an integer
+        raise ValidationError(f"bad dimension range {text!r}") from exc
 
 
 def _int_at_least(low: int, text: str) -> int:

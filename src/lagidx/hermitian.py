@@ -94,11 +94,19 @@ def _same_shape(matrices, what: str) -> None:
         raise ValidationError(f"{what}: matrix shapes {', '.join(map(str, shapes))} differ")
 
 
-def _as_dimension(n, what: str = "dimension", least: int = 1) -> int:
-    """A dimension argument as an int, else ValidationError unless an integer >= ``least``."""
+def _as_dimension(n, what: str, least: int = 1) -> int:
+    """A dimension or count as an int, else ValidationError naming ``what``, "<entry point>: <parameter>"."""
     if not isinstance(n, (int, np.integer)) or n < least:
         raise ValidationError(f"{what} must be an integer of at least {least}, got {n!r}")
     return int(n)
+
+
+def _as_rng(seed, what: str) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, which returns a Generator unaltered, else ValidationError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be None, a Generator or integers >= 0, got {seed!r}") from exc
 
 
 def matrix_hash(m: np.ndarray) -> str:
@@ -301,6 +309,7 @@ def range_projector(h, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian Hermitian matrix with O(1) entries.  An n that is not an
-    integer of at least 1 raises :class:`ValidationError`."""
-    n = _as_dimension(n)
+    integer of at least 1, or a bad seed, raises :class:`ValidationError`."""
+    n = _as_dimension(n, "random_hermitian: n")
+    rng = _as_rng(rng, "random_hermitian: rng")
     return hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))

@@ -98,7 +98,7 @@ def omega_form(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane) ->
     """Hermitian 3n x 3n matrix of the triple pairing form in frame
     coordinates.  Its nullity is the sum of the three pairwise
     intersection dimensions."""
-    n = _same_dimension((l1, l2, l3), "omega_form")[0].n
+    n = _same_dimension("omega_form", l1=l1, l2=l2, l3=l3)
     w = np.zeros((3 * n, 3 * n), dtype=complex)
     w12 = frame_pairing(l1.x, l1.y, l2.x, l2.y)
     w13 = -frame_pairing(l1.x, l1.y, l3.x, l3.y)
@@ -115,9 +115,10 @@ def omega_form(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane) ->
 def duistermaat_omega(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
                       tol: TolerancePolicy = DEFAULT_TOL) -> IndexReport:
     """Duistermaat index as n_-(W) - n + dim(L1 ∩ L3)."""
+    n = _same_dimension("duistermaat_omega", l1=l1, l2=l2, l3=l3)
     inr = trusted_inertia(omega_form(l1, l2, l3), tol)
     dim13 = intersection_dim(l1, l3, tol)
-    value = _check_bounds(inr.n_minus - l1.n + dim13, l1.n, "omega")
+    value = _check_bounds(inr.n_minus - n + dim13, n, "omega")
     return IndexReport(value, "omega", None, {"form_inertia": inr.as_tuple(), "dim13": dim13})
 
 
@@ -146,13 +147,14 @@ def duistermaat_robin(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPl
     a wrong index without any error.  ``seed`` is accepted and unused: the
     selection is closed-form.
     """
+    n = _same_dimension("duistermaat_robin", l1=l1, l2=l2, l3=l3)
     planes = (l1, l2, l3)
     eps1, eps2, margin = epsilon_select(planes, tol)
     v1, v2 = _robin_values(robin_matrices(planes, (eps1, eps2), tol), tol)
     if v1 != v2:
         raise EpsilonDisagreement(
             f"epsilon {eps1:.6g} gave {v1} but epsilon {eps2:.6g} gave {v2}")
-    return IndexReport(_check_bounds(v1, l1.n, "robin"), "robin", eps1,
+    return IndexReport(_check_bounds(v1, n, "robin"), "robin", eps1,
                        {"epsilon_second": eps2, "value_second": v2, "selection_margin": margin})
 
 
@@ -198,13 +200,14 @@ def duistermaat_reduce(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianP
     companion pairing raises SelectionFailed from DualBasisFailure.
     ``seed`` is accepted and unused.
     """
+    n = _same_dimension("duistermaat_reduce", l1=l1, l2=l2, l3=l3)
     l4, margin = transversal_companion((l1, l2, l3), tol)
     try:
         graphs = _reduction_graphs((l1, l2, l3), l4, tol)
     except DualBasisFailure as exc:
         raise SelectionFailed("reduction failed against its companion plane") from exc
     t12, t13, t23 = (i.n_minus for i in trusted_inertia(graphs, tol))
-    value = _check_bounds(t12 - t13 + t23, l1.n, "reduce")
+    value = _check_bounds(t12 - t13 + t23, n, "reduce")
     return IndexReport(value, "reduce", None, {"terms": (t12, t13, t23), "selection_margin": margin})
 
 
@@ -230,6 +233,7 @@ def duistermaat(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
     ``closed_form`` requires all three planes to be graphs (transversal
     to the vertical plane).  ``seed`` is accepted and unused.
     """
+    n = _same_dimension("duistermaat", l1=l1, l2=l2, l3=l3)
     if method == "omega":
         return duistermaat_omega(l1, l2, l3, tol)
     if method == "robin":
@@ -237,7 +241,6 @@ def duistermaat(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
     if method == "reduce":
         return duistermaat_reduce(l1, l2, l3, tol, seed)
     if method == "closed_form":
-        n = _same_dimension((l1, l2, l3), "closed_form")[0].n
         parts = [decompose(p, tol) for p in (l1, l2, l3)]
         if any(q.mul_dim for q in parts):
             raise ValidationError("closed_form needs all three planes to be graphs")
@@ -250,6 +253,7 @@ def kashiwara(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
               tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Kashiwara (Hormander-Kashiwara-Wall) index: the signature of the
     triple pairing form."""
+    _same_dimension("kashiwara", l1=l1, l2=l2, l3=l3)
     return trusted_inertia(omega_form(l1, l2, l3), tol).signature
 
 
@@ -263,6 +267,7 @@ def duistermaat_relation_vertical(a, plane: LagrangianPlane, order: str,
     negative eigenvalues, so no correction of n_- is needed.
     """
     am = as_hermitian(a, tol, "graph matrix")
+    _same_dimension("duistermaat_relation_vertical", plane=plane)
     _same_shape((am, plane.x), "duistermaat_relation_vertical")
     parts = decompose(plane, tol)
     p = parts.dom_projector
@@ -370,7 +375,7 @@ def index_via_resolvent_difference(l1: LagrangianPlane, l2: LagrangianPlane, l3:
                                    tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Index of a triple whose third plane is transversal to the first two
     and to the vertical plane, via inverses of relation differences."""
-    v = vertical_plane(_same_dimension((l1, l2, l3), "index_via_resolvent_difference")[0].n)
+    v = vertical_plane(_same_dimension("index_via_resolvent_difference", l1=l1, l2=l2, l3=l3))
     for other, label in ((l1, "L1"), (l2, "L2"), (v, "the vertical plane")):
         if intersection_dim(l3, other, tol) != 0:
             raise TransversalityViolated(f"L3 is not transversal to {label}")

@@ -42,7 +42,9 @@ from .hermitian import (
     DEFAULT_TOL,
     Inertia,
     TolerancePolicy,
+    _as_dimension,
     _as_projector,
+    _as_rng,
     _same_shape,
     as_hermitian,
     count_above_cutoff,
@@ -189,12 +191,14 @@ def custom_path(knots, xs, ys, tol: TolerancePolicy = DEFAULT_TOL) -> PiecewiseL
     return path
 
 
-def _solvable(path, what: str) -> None:
-    """Refuse a path that is neither piecewise linear nor a
-    reparametrization, since only those have exact pencils to solve."""
+def _solvable(what: str, path, **planes) -> None:
+    """Refuse a path with no exact pencils to solve (neither piecewise linear nor
+    a reparametrization), and reference planes, keywords of ``_same_dimension``, off its dimension."""
     if not isinstance(path, (PiecewiseLinearPath, ReparametrizedPath)):
         raise ValidationError(f"{what} needs a path from this module's constructors "
                               f"or reparametrize, got {type(path).__name__}")
+    if planes and _same_dimension(what, **planes) != path.n:
+        raise ValidationError(f"{what}: the path and its planes live in different dimensions")
 
 
 def reparametrize(path, phi, dphi) -> ReparametrizedPath:
@@ -207,7 +211,7 @@ def reparametrize(path, phi, dphi) -> ReparametrizedPath:
     that is not a finite real number raises ValidationError too, as does
     a base that is not a path of this module.
     """
-    _solvable(path, "reparametrize")
+    _solvable("reparametrize", path)
     ts = np.linspace(0.0, 1.0, _MONOTONE_GRID).tolist()
     values = [phi(t) for t in ts]
     rates = [dphi(t) for t in ts[1:-1]]
@@ -246,8 +250,7 @@ def crossing_form(path, t0: float, m: LagrangianPlane, tol: TolerancePolicy = DE
     ValidationError when t0 is not a real number, or is nan or outside
     [0, 1], where the frame would be extrapolated off the path.
     """
-    _solvable(path, "crossing_form")
-    _same_dimension((path, m), "crossing_form")
+    _solvable("crossing_form", path, m=m)
     if not (isinstance(t0, numbers.Real) and 0.0 <= t0 <= 1.0):
         raise ValidationError(f"crossing_form needs t0 in [0, 1], got {t0}")
     x, y = path.frame_at(t0)
@@ -286,8 +289,7 @@ def find_crossings(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL)
     search.  Degenerate restricted forms raise DegenerateCrossing; two crossings
     closer than 1e-9 raise UnresolvedCluster instead of being merged.
     """
-    _solvable(path, "find_crossings")
-    _same_dimension((path, m), "find_crossings")
+    _solvable("find_crossings", path, m=m)
     return _crossings(path, m, tol)
 
 
@@ -506,6 +508,7 @@ def index_from_crossings(crossings) -> int:
 
 def maslov_index(path, m: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Maslov index of a regular path with respect to a reference plane."""
+    _solvable("maslov_index", path, m=m)
     return index_from_crossings(find_crossings(path, m, tol))
 
 
@@ -517,7 +520,7 @@ def is_nondecreasing(path, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     at both ends of each piece; a reparametrization scales it by
     phi' > 0, so it is checked on its base path.
     """
-    _solvable(path, "is_nondecreasing")
+    _solvable("is_nondecreasing", path)
     if isinstance(path, ReparametrizedPath):
         return is_nondecreasing(path.base, tol)
     points = ((x + s * xd, y + s * yd, xd, yd)
@@ -565,7 +568,7 @@ def minimal_path(l0: LagrangianPlane, l1: LagrangianPlane,
     and Q = diag(I_r, 0) come from one SVD of the pairing matrix, r being
     its rank, so the path is constant on L0 ∩ L1.
     """
-    n = _same_dimension((l0, l1), "minimal_path")[0].n
+    n = _same_dimension("minimal_path", l0=l0, l1=l1)
     z, q = _pair_normalization(l0, l1, tol)
     z11, z12 = z[:n, :n], z[:n, n:]
     z21, z22 = z[n:, :n], z[n:, n:]
@@ -577,6 +580,7 @@ def zwz_check(path, m1: LagrangianPlane, m2: LagrangianPlane,
     """Difference of Maslov indices against two reference planes, compared
     with the two Duistermaat-index expressions for it (the endpoint line
     and the reference line)."""
+    _solvable("zwz_check", path, m1=m1, m2=m2)
     mas1 = maslov_index(path, m1, tol)
     mas2 = maslov_index(path, m2, tol)
     l0 = plane_from_frame(*path.frame_at(0.0), tol)
@@ -608,9 +612,11 @@ def extremal_check(l0: LagrangianPlane, l1: LagrangianPlane, m: LagrangianPlane,
     Samples alternate between smooth reparametrizations of the minimal
     path and detours through a random waypoint (two minimal pieces, whose
     indices add under concatenation).  Degenerate samples are redrawn up
-    to 5 times.
+    to 5 times.  ``trials`` must be at least 1: no sample is no verdict.
     """
-    rng = np.random.default_rng(seed)
+    n = _same_dimension("extremal_check", l0=l0, l1=l1, m=m)
+    trials = _as_dimension(trials, "extremal_check: trials")
+    rng = _as_rng(seed, "extremal_check: seed")
     target = duistermaat_omega(l0, l1, m, tol).value
     base = minimal_path(l0, l1, tol)
     base_value = maslov_index(base, m, tol)
@@ -622,7 +628,7 @@ def extremal_check(l0: LagrangianPlane, l1: LagrangianPlane, m: LagrangianPlane,
                     phi, dphi = _smooth_monotone(rng.uniform(0.1, 0.9))
                     value = maslov_index(reparametrize(base, phi, dphi), m, tol)
                 else:
-                    mid = random_plane(l0.n, rng, tol)
+                    mid = random_plane(n, rng, tol)
                     value = (maslov_index(minimal_path(l0, mid, tol), m, tol)
                              + maslov_index(minimal_path(mid, l1, tol), m, tol))
                 samples.append(value)

@@ -27,6 +27,7 @@ from .hermitian import (
     TolerancePolicy,
     _as_dimension,
     _as_finite_matrix,
+    _as_rng,
     as_hermitian,
     checked_hermitian_part,
     count_above_cutoff,
@@ -139,68 +140,53 @@ def graph_plane(a, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
 
 def horizontal_plane(n: int) -> LagrangianPlane:
     """The plane C^n + 0, the graph of the zero matrix."""
-    n = _as_dimension(n)
+    n = _as_dimension(n, "horizontal_plane: n")
     return LagrangianPlane(np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
 
 
 def vertical_plane(n: int) -> LagrangianPlane:
     """The plane 0 + C^n (not a graph)."""
-    n = _as_dimension(n)
+    n = _as_dimension(n, "vertical_plane: n")
     return LagrangianPlane(np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex))
 
 
 def pairing_matrix(l1: LagrangianPlane, l2: LagrangianPlane) -> np.ndarray:
     """The n x n pairing X1*Y2 - Y1*X2 whose kernel represents L1 ∩ L2."""
-    _same_dimension((l1, l2), "pairing_matrix")
+    _same_dimension("pairing_matrix", l1=l1, l2=l2)
     return frame_pairing(l1.x, l1.y, l2.x, l2.y)
 
 
 def intersection_dim(l1: LagrangianPlane, l2: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """dim(L1 ∩ L2), computed as the nullity of the frame pairing."""
-    return l1.n - rank(pairing_matrix(l1, l2), tol)
+    return _same_dimension("intersection_dim", l1=l1, l2=l2) - rank(frame_pairing(l1.x, l1.y, l2.x, l2.y), tol)
 
 
 def planes_equal(l1: LagrangianPlane, l2: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Two planes are equal exactly when they intersect in full dimension."""
-    return intersection_dim(l1, l2, tol) == l1.n
-
-
-def principal_angles(l1: LagrangianPlane, l2: LagrangianPlane) -> np.ndarray:
-    """Principal angles between the two subspaces of C^2n.
-
-    Computed through the sines (singular values of the projection onto
-    the orthogonal complement), which stays accurate for tiny angles.
-    A test route only: ``test_plane_from_frame_preserves_span`` reads it.
-    """
-    z1, z2 = l1.stacked, l2.stacked
-    s = np.linalg.svd(z2 - z1 @ (z1.conj().T @ z2), compute_uv=False)
-    return np.arcsin(np.clip(s, 0.0, 1.0))
+    return _same_dimension("planes_equal", l1=l1, l2=l2) == intersection_dim(l1, l2, tol)
 
 
 def apply_symplectic(s, plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
     """Image of a plane under a (anti)symplectic matrix, re-canonicalized."""
     sm = _as_finite_matrix(s, "apply_symplectic")
-    if sm.shape != (2 * plane.n, 2 * plane.n):
-        raise ValidationError(f"map shape {sm.shape} does not match plane dimension {plane.n}")
+    n = _same_dimension("apply_symplectic", plane=plane)
+    if sm.shape != (2 * n, 2 * n):
+        raise ValidationError(f"map shape {sm.shape} does not match plane dimension {n}")
     return plane_from_stacked(sm @ plane.stacked, tol)
 
 
-def _same_dimension(planes, what: str) -> list:
-    """The planes (or paths) as a list, refused unless there is at least
-    one and all share one dimension."""
-    planes = list(planes)
-    if not planes:
-        raise ValidationError(f"{what} needs at least one plane")
-    if any(p.n != planes[0].n for p in planes):
-        raise ValidationError("planes live in different dimensions")
-    return planes
-
-
-def _stacked_frames(planes, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The X blocks and the Y blocks of planes of one dimension, each as
-    a (k, n, n) stack."""
-    planes = _same_dimension(planes, what)
-    return np.stack([p.x for p in planes]), np.stack([p.y for p in planes])
+def _same_dimension(what: str, **planes) -> int:
+    """The one check of plane arguments, made before any is read: each keyword
+    names a parameter of the entry point ``what`` (``planes[k]`` an entry of a
+    sequence).  Returns the planes' one dimension n, else ValidationError."""
+    dims = set()
+    for name, p in planes.items():
+        if not isinstance(p, LagrangianPlane):
+            raise ValidationError(f"{what}: {name} must be a LagrangianPlane, got {type(p).__name__}")
+        dims.add(p.n)
+    if len(dims) != 1:
+        raise ValidationError(f"{what}: planes live in different dimensions" if dims else f"{what} needs a plane")
+    return dims.pop()
 
 
 def _candidate_angles(planes, what: str) -> np.ndarray:
@@ -216,7 +202,8 @@ def _candidate_angles(planes, what: str) -> np.ndarray:
     with a_j = arccos(|cos theta_j|) in [0, pi/2], and the candidates are
     both.
     """
-    xs = np.stack([p.x for p in _same_dimension(planes, what)])
+    _same_dimension(what, **{f"planes[{k}]": p for k, p in enumerate(planes)})
+    xs = np.stack([p.x for p in planes])
     cos2 = np.linalg.eigvalsh(xs.conj().swapaxes(-1, -2) @ xs)
     a = np.arccos(np.minimum(np.sqrt(np.maximum(cos2, 0.0)), 1.0))
     return np.concatenate([a, np.pi - a], axis=-1)
@@ -279,10 +266,11 @@ def robin_map(plane: LagrangianPlane, epsilon: float, tol: TolerancePolicy = DEF
     first: one that is not a finite real number raises ValidationError,
     and an X + eps Y of count-rule rank below n raises SingularEpsilon.
     The result is symmetrized after an asymmetry check."""
+    n = _same_dimension("robin_map", plane=plane)
     if not (isinstance(epsilon, numbers.Real) and np.isfinite(epsilon)):
         raise ValidationError(f"Robin epsilon must be a finite real number, got {epsilon!r}")
-    if count_above_cutoff(np.linalg.svd(plane.x + epsilon * plane.y, compute_uv=False), tol) < plane.n:
-        raise SingularEpsilon(f"X + {epsilon} Y has count-rule rank below {plane.n}")
+    if count_above_cutoff(np.linalg.svd(plane.x + epsilon * plane.y, compute_uv=False), tol) < n:
+        raise SingularEpsilon(f"X + {epsilon} Y has count-rule rank below {n}")
     return robin_matrices((plane,), (epsilon,), tol)[0, 0]
 
 
@@ -295,7 +283,8 @@ def robin_matrices(planes, epsilons, tol: TolerancePolicy = DEFAULT_TOL) -> np.n
     decided the count-rule rank of the same X + eps Y in closed form; any
     other epsilon goes through :func:`robin_map`.  An asymmetric map
     raises SingularEpsilon, naming the first epsilon that gave one."""
-    xs, ys = _stacked_frames(planes, "robin_matrices")
+    _same_dimension("robin_matrices", **{f"planes[{k}]": p for k, p in enumerate(planes)})
+    xs, ys = np.stack([p.x for p in planes]), np.stack([p.y for p in planes])
     eps = np.asarray(epsilons, dtype=float)[:, None, None, None]
     names = [f"Robin map at epsilon {e:.6g}" for e in epsilons]
     return checked_hermitian_part(ys @ np.linalg.inv(xs + eps * ys), tol, SingularEpsilon, names)
@@ -304,7 +293,8 @@ def robin_matrices(planes, epsilons, tol: TolerancePolicy = DEFAULT_TOL) -> np.n
 def random_plane(n: int, seed=None, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
     """Random Lagrangian plane: a random symplectic image of the horizontal
     plane, post-composed with the swap involution half of the time."""
-    rng = np.random.default_rng(seed)
+    n = _as_dimension(n, "random_plane: n")
+    rng = _as_rng(seed, "random_plane: seed")
     s = random_symplectic(n, rng)
     z = s[:, :n]
     if rng.random() < 0.5:
@@ -318,11 +308,11 @@ def random_plane_with_mul(n: int, mul_dim: int, seed=None, tol: TolerancePolicy 
     Built from a random orthonormal splitting C^n = D + D^perp and a random
     Hermitian operator on D; mul_dim = dim D^perp by construction.
     """
-    n = _as_dimension(n)
-    mul_dim = _as_dimension(mul_dim, "mul_dim", 0)
+    n = _as_dimension(n, "random_plane_with_mul: n")
+    mul_dim = _as_dimension(mul_dim, "random_plane_with_mul: mul_dim", 0)
     if mul_dim > n:
-        raise ValidationError(f"mul_dim must lie in [0, {n}], got {mul_dim}")
-    rng = np.random.default_rng(seed)
+        raise ValidationError(f"random_plane_with_mul: mul_dim must lie in [0, {n}], got {mul_dim}")
+    rng = _as_rng(seed, "random_plane_with_mul: seed")
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     u, _ = np.linalg.qr(g)
     u_dom, u_mul = u[:, : n - mul_dim], u[:, n - mul_dim:]
@@ -371,7 +361,7 @@ def transversal_normalization(la: LagrangianPlane, lb: LagrangianPlane,
     A reference route only, read by ``test_reduction_graphs_match_normalization``
     and ``test_transversal_normalization_sends_pair_to_axes``.
     """
-    n = _same_dimension((la, lb), "transversal_normalization")[0].n
+    n = _same_dimension("transversal_normalization", la=la, lb=lb)
     j = standard_form(n)
     a = la.stacked
     b = lb.stacked
@@ -389,7 +379,7 @@ def direct_sum_planes(l1: LagrangianPlane, l2: LagrangianPlane) -> LagrangianPla
     """Direct sum of planes: the two canonical frames on a block diagonal,
     rows interleaved as in :func:`direct_sum_maps`.  The sum of two
     canonical frames is Lagrangian and orthonormal, so it is not checked again."""
-    a, b = l1.n, l2.n
+    a, b = _same_dimension("direct_sum_planes", l1=l1), _same_dimension("direct_sum_planes", l2=l2)
     z = np.zeros((2 * (a + b), a + b), dtype=complex)
     z[:2 * a, :a], z[2 * a:, a:] = l1.stacked, l2.stacked
     return trusted_plane(z[_embedding_indices(a, b)])

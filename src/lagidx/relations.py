@@ -64,9 +64,10 @@ def decompose(plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> Rel
     P Y X^+ compressed to the domain and symmetrized, with the
     pseudoinverse X^+ = V_r S_r^-1 U_r* taken from the same SVD.
     """
+    n = _same_dimension("decompose", plane=plane)
     r, u, y_xpinv = _graph_split(plane, tol)
     p, op = _operator_part(u, r, y_xpinv)
-    return RelationParts(p, op, plane.n - r)
+    return RelationParts(p, op, n - r)
 
 
 def reconstruct(parts: RelationParts, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
@@ -74,7 +75,7 @@ def reconstruct(parts: RelationParts, tol: TolerancePolicy = DEFAULT_TOL) -> Lag
     p = as_hermitian(parts.dom_projector, tol, "domain projector")
     op = _as_finite_matrix(parts.operator_part, "operator part")
     _same_shape((p, op), "reconstruct")
-    mul_dim = _as_dimension(parts.mul_dim, "mul_dim", 0)
+    mul_dim = _as_dimension(parts.mul_dim, "reconstruct: mul_dim", 0)
     w, v = np.linalg.eigh(p)
     if np.any(np.abs(w * (1.0 - w)) > tol.residual_tol):
         raise ValidationError("dom_projector is not a projector")
@@ -107,7 +108,7 @@ def difference(l: LagrangianPlane, m: LagrangianPlane, tol: TolerancePolicy = DE
     n left singular vectors are the canonical frame, after a count-rule
     check that it has rank n (RankDeficient otherwise).
     """
-    n = _same_dimension((l, m), "difference")[0].n
+    n = _same_dimension("difference", l=l, m=m)
     r, u, y_xpinv = _graph_split(m, tol)
     if r == n:
         z = np.empty((2 * n, n), dtype=complex)
@@ -132,6 +133,7 @@ def difference(l: LagrangianPlane, m: LagrangianPlane, tol: TolerancePolicy = DE
 
 def inverse(plane: LagrangianPlane) -> LagrangianPlane:
     """The relation inverse {(v, u) : (u, v) in L}: swap the frame blocks."""
+    _same_dimension("inverse", plane=plane)
     return LagrangianPlane(plane.y.copy(), plane.x.copy())
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .hermitian import DEFAULT_TOL, TolerancePolicy, _as_dimension, _as_finite_matrix, random_hermitian
+from .hermitian import DEFAULT_TOL, TolerancePolicy, _as_dimension, _as_finite_matrix, _as_rng, random_hermitian
 
 
 def standard_form(n: int) -> np.ndarray:
     """Matrix J of the symplectic form on C^n + C^n."""
-    n = _as_dimension(n)
+    n = _as_dimension(n, "standard_form: n")
     j = np.zeros((2 * n, 2 * n), dtype=complex)
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
@@ -35,10 +35,9 @@ def frame_pairing(x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray
 
 
 def omega(u, v) -> complex:
-    """Symplectic pairing <x1, y2> - <x2, y1> of two vectors in C^2n."""
-    uu = np.asarray(u, dtype=complex).ravel()
-    vv = np.asarray(v, dtype=complex).ravel()
-    if uu.shape != vv.shape or uu.size % 2:
+    """Symplectic pairing <x1, y2> - <x2, y1> of two vectors in C^2n, each taken as a 1 x 2n row."""
+    uu, vv = _as_finite_matrix([u], "omega"), _as_finite_matrix([v], "omega")
+    if uu.shape != vv.shape or uu.size % 2 or not uu.size:
         raise ValidationError(f"omega needs two vectors of equal even length, got {uu.size} and {vv.size}")
     return complex(frame_pairing(*uu.reshape(2, -1, 1), *vv.reshape(2, -1, 1))[0, 0])
 
@@ -123,14 +122,14 @@ def random_symplectic(n: int, seed=None) -> np.ndarray:
     is Hamiltonian and a diagonal Pade approximant r satisfies
     r(x) r(-x) = 1, so r(J H) is exactly symplectic in exact arithmetic,
     as the exponential is; the output passes :func:`is_symplectic` up to
-    floating-point error.  An n that is not an integer of at least 1
-    raises :class:`ValidationError` before anything is drawn from ``seed``.
+    floating-point error.  An n that is not an integer of at least 1, or a
+    bad seed, raises :class:`ValidationError` before anything is drawn.
 
     J is a signed block permutation, so J H = (H_lower; -H_upper) is taken
     by slicing, bit for bit the product ``standard_form(n) @ H``.
     """
-    n = _as_dimension(n)
-    rng = np.random.default_rng(seed)
+    n = _as_dimension(n, "random_symplectic: n")
+    rng = _as_rng(seed, "random_symplectic: seed")
     h = random_hermitian(2 * n, rng)
     norm = np.linalg.norm(h, 2)
     if norm > 1.5:
@@ -142,7 +141,7 @@ def random_symplectic(n: int, seed=None) -> np.ndarray:
 
 def swap_map(n: int) -> np.ndarray:
     """The anti-symplectic involution (x, y) -> (y, x)."""
-    n = _as_dimension(n)
+    n = _as_dimension(n, "swap_map: n")
     s = np.zeros((2 * n, 2 * n), dtype=complex)
     s[:n, n:] = np.eye(n)
     s[n:, :n] = np.eye(n)

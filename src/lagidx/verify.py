@@ -17,8 +17,8 @@ from itertools import permutations
 import numpy as np
 
 from . import maslov as ms
-from .errors import DegenerateCrossing, LagidxError, UnresolvedCluster
-from .hermitian import DEFAULT_TOL, TolerancePolicy, inertia, random_hermitian
+from .errors import DegenerateCrossing, LagidxError, UnresolvedCluster, ValidationError
+from .hermitian import DEFAULT_TOL, TolerancePolicy, _as_dimension, inertia, random_hermitian
 from .indices import (
     coboundary,
     duistermaat,
@@ -525,9 +525,18 @@ def _minimize(check_fn, n: int, entropy: list, tol) -> dict | None:
     return best
 
 
+def _grid(n_values, trials, seed, what: str) -> tuple[list[int], int, int]:
+    """The dimensions, trials and seed (a ``SeedSequence`` word) of a run that checks something."""
+    ns = [_as_dimension(n, f"{what}: n_values entry") for n in n_values]
+    if not ns:
+        raise ValidationError(f"{what}: n_values names no dimension")
+    return ns, _as_dimension(trials, f"{what}: trials"), _as_dimension(seed, f"{what}: seed", 0)
+
+
 def run_check(check_name: str, n_values, trials: int, seed: int = 0,
               tol: TolerancePolicy = DEFAULT_TOL, minimize: bool = True) -> list[Failure]:
     """Run one named check over the grid of dimensions and trials."""
+    n_values, trials, seed = _grid(n_values, trials, seed, "run_check")
     fn = _CHECK_FNS[check_name]
     cid = _CHECK_IDS[check_name]
     failures = []
@@ -549,7 +558,8 @@ def run_suite(suite: str, n_values=(1, 2, 3, 4, 5, 6), trials: int = 25, seed: i
               tol: TolerancePolicy = DEFAULT_TOL, minimize: bool = True) -> SuiteReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; available: {', '.join(SUITES)}")
-    report = SuiteReport(suite, trials, list(n_values), seed,
+    n_values, trials, seed = _grid(n_values, trials, seed, "run_suite")
+    report = SuiteReport(suite, trials, n_values, seed,
                          checks=[name for name, _ in SUITES[suite]])
     for name, _ in SUITES[suite]:
         report.failures.extend(run_check(name, n_values, trials, seed, tol, minimize))

@@ -39,11 +39,10 @@ from lagidx import (
     planes_equal,
     random_plane,
     robin_map,
-    transversal_companion,
-    transversal_normalization,
     vertical_plane,
 )
 from lagidx.hermitian import random_hermitian
+from lagidx.planes import transversal_companion, transversal_normalization
 
 
 def scalar_graph(s):

@@ -13,7 +13,6 @@ from lagidx import (
     ValidationError,
     apply_symplectic,
     direct_sum_planes,
-    epsilon_select,
     graph_plane,
     horizontal_plane,
     inertia,
@@ -24,17 +23,17 @@ from lagidx import (
     random_plane_with_mul,
     random_symplectic,
     robin_map,
-    transversal_companion,
-    transversal_normalization,
     vertical_plane,
 )
 from lagidx.hermitian import random_hermitian
 from lagidx.planes import (
     _candidate_angles,
+    epsilon_select,
     frame_pairing,
     pairing_matrix,
-    principal_angles,
     robin_matrices,
+    transversal_companion,
+    transversal_normalization,
     validate_frame,
 )
 
@@ -51,6 +50,15 @@ def test_graph_plane_and_canonical_form(tol):
     v = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
     res = v - z @ (z.conj().T @ v)
     assert np.linalg.norm(res) < 1e-12
+
+
+def principal_angles(l1, l2):
+    """Principal angles between the two subspaces of C^2n, through their
+    sines (singular values of the projection onto the orthogonal
+    complement), which stays accurate for tiny angles."""
+    z1, z2 = l1.stacked, l2.stacked
+    s = np.linalg.svd(z2 - z1 @ (z1.conj().T @ z2), compute_uv=False)
+    return np.arcsin(np.clip(s, 0.0, 1.0))
 
 
 def test_plane_from_frame_preserves_span(rng, tol):

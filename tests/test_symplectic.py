@@ -26,7 +26,7 @@ from lagidx import (
     vertical_plane,
 )
 from lagidx.hermitian import random_hermitian
-from lagidx.symplectic import _PADE13
+from lagidx.symplectic import _PADE13, frame_pairing
 
 
 def test_omega_basis_pairs():
@@ -58,6 +58,23 @@ def test_omega_skew_hermitian(rng):
 def test_omega_dimension_mismatch():
     with pytest.raises(ValidationError):
         omega([1, 0], [1, 0, 0, 0])
+
+
+@pytest.mark.parametrize("u", [[np.nan, 0], [1, [2]], ["a", "b"]], ids=["nan", "ragged", "non-numeric"])
+def test_omega_refuses_vectors_that_are_not_finite_numbers(u):
+    with pytest.raises(ValidationError, match="^omega expects"):
+        omega(u, [1, 2])
+    with pytest.raises(ValidationError, match="^omega expects"):
+        omega([1, 2], u)
+
+
+def test_omega_of_flat_vectors_is_the_pairing_of_their_halves(rng):
+    # Bit for bit the pairing of the raveled vectors, split as (x; y).
+    for n in (1, 3):
+        u, v = (rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n) for _ in range(2))
+        ref = complex(frame_pairing(*u.reshape(2, -1, 1), *v.reshape(2, -1, 1))[0, 0])
+        assert omega(u, v) == ref
+        assert omega(list(u), tuple(v)) == ref
 
 
 def test_is_symplectic_examples(rng):

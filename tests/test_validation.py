@@ -1,7 +1,8 @@
 """Each input condition is checked by one helper, called at every public
-entry point that needs it: a finite matrix in any memory layout, planes
-of one dimension, matrices of one shape, a dimension argument that is
-an integer >= 1, and a path the Maslov pencils can solve.
+entry point that needs it: a finite matrix in any memory layout, a
+Lagrangian plane argument (planes of one dimension), matrices of one
+shape, a dimension or count argument that is an integer >= 1, a seed,
+and a path the Maslov pencils can solve.
 
 The finite-matrix condition is run at every public entry point that
 takes a matrix: a non-numeric or ragged argument, and a map with NaN
@@ -10,10 +11,14 @@ NaN result.  Scalar arguments that are not real numbers (a Robin
 epsilon, a tolerance, a crossing parameter, the values of a schedule)
 raise ValidationError naming the argument."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import lagidx
 from lagidx import (
+    LagrangianPlane,
     RelationParts,
     TolerancePolicy,
     ValidationError,
@@ -24,7 +29,6 @@ from lagidx import (
     duistermaat,
     duistermaat_graphs,
     duistermaat_relation_vertical,
-    epsilon_select,
     custom_path,
     extremal_check,
     find_crossings,
@@ -62,13 +66,11 @@ from lagidx import (
     scaled_projector_path,
     standard_form,
     swap_map,
-    transversal_companion,
-    transversal_normalization,
     vertical_plane,
     zwz_check,
 )
 from lagidx.maslov import crossing_form
-from lagidx.planes import pairing_matrix
+from lagidx.planes import epsilon_select, pairing_matrix, transversal_companion, transversal_normalization
 
 RNG = np.random.default_rng(5)
 H = np.array([[1.0, 2j, 0.5], [-2j, 3.0, 1 - 1j], [0.5, 1 + 1j, -1.0]])  # Hermitian, invertible
@@ -305,3 +307,98 @@ def test_custom_path_knots_rise_from_0_to_1(name):
 def test_custom_path_needs_one_frame_per_knot():
     with pytest.raises(ValidationError, match="one frame per knot"):
         custom_path([0.0, 1.0], EYES, ZERO_ONE)
+
+
+# Every public function of the ``lagidx`` namespace, read through its
+# signature, so that a new entry point is probed without editing this
+# list: each LagrangianPlane parameter, each count and each seed gets
+# values it must refuse, every other parameter a valid value chosen by
+# its name.  The ValidationError must name the entry point and the
+# parameter, as "<entry point>: <parameter> ...".
+BAD_VALUES = {
+    "plane": {"array": np.eye(2), "None": None, "str": "a"},
+    "count": {"float": 2.5, "str": "a", "negative": -1},
+    "seed": {"str": "a", "negative": -1},
+}
+COUNTS, SEEDS = {"n", "mul_dim", "trials"}, {"seed", "rng"}
+# Parameters the probe leaves out, each with its reason.
+LEFT_OUT = {
+    ("duistermaat", "seed"): "accepted and unused: every index algorithm draws nothing",
+    ("duistermaat_reduce", "seed"): "accepted and unused: the companion is chosen in closed form",
+    ("duistermaat_robin", "seed"): "accepted and unused: the epsilons are chosen in closed form",
+}
+# A valid value for each parameter without a default that is not a plane.
+VALID = {"n": 2, "mul_dim": 1, "rng": 0, "a": np.diag([1.0, -1.0]), "s": np.eye(4),
+         "epsilon": 0.5, "order": "graph_first", "path": PATH2, "t0": 0.5}
+
+
+def _kind(fn_name, parameter):
+    if (fn_name, parameter.name) in LEFT_OUT:
+        return None
+    if parameter.annotation in (LagrangianPlane, "LagrangianPlane"):
+        return "plane"
+    return "count" if parameter.name in COUNTS else "seed" if parameter.name in SEEDS else None
+
+
+PUBLIC_FUNCTIONS = {name: fn for name, fn in vars(lagidx).items()
+                    if inspect.isfunction(fn) and not name.startswith("_")}
+PROBES = [(name, p.name, label) for name, fn in sorted(PUBLIC_FUNCTIONS.items())
+          for p in inspect.signature(fn).parameters.values() if _kind(name, p)
+          for label in BAD_VALUES[_kind(name, p)]]
+PROBED = sorted({name for name, _, _ in PROBES})
+
+
+def _valid_arguments(fn):
+    planes = iter((L2, M2, K2))
+    arguments = {}
+    for p in inspect.signature(fn).parameters.values():
+        if p.annotation in (LagrangianPlane, "LagrangianPlane"):
+            arguments[p.name] = next(planes)
+        elif p.default is inspect.Parameter.empty:
+            arguments[p.name] = VALID[p.name]
+    return arguments
+
+
+def test_probe_covers_the_documented_entry_points_and_its_left_out_parameters_exist():
+    assert {"decompose", "inverse", "apply_symplectic", "robin_map", "direct_sum_planes",
+            "duistermaat_relation_vertical", "intersection_dim", "maslov_index", "zwz_check",
+            "extremal_check", "random_plane", "random_hermitian", "standard_form"} <= set(PROBED)
+    for name, param in LEFT_OUT:
+        assert param in inspect.signature(PUBLIC_FUNCTIONS[name]).parameters
+
+
+@pytest.mark.parametrize("name", PROBED)
+def test_probed_entry_points_accept_their_valid_arguments(name):
+    fn = PUBLIC_FUNCTIONS[name]
+    try:
+        fn(**_valid_arguments(fn))
+    except ValidationError:
+        raise
+    except lagidx.LagidxError:
+        pass  # e.g. NoCrossing: the arguments are valid, the answer is an error
+
+
+@pytest.mark.parametrize("name,param,label", PROBES)
+def test_plane_count_and_seed_arguments_raise_validation_error_naming_them(name, param, label):
+    fn = PUBLIC_FUNCTIONS[name]
+    kind = _kind(name, inspect.signature(fn).parameters[param])
+    arguments = _valid_arguments(fn) | {param: BAD_VALUES[kind][label]}
+    with pytest.raises(ValidationError) as info:
+        fn(**arguments)
+    assert str(info.value).startswith(f"{name}: {param} ")
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5, "a"])
+def test_extremal_check_refuses_a_trials_that_draws_no_sample(trials):
+    with pytest.raises(ValidationError, match="^extremal_check: trials "):
+        extremal_check(L2, M2, K2, trials=trials, seed=0)
+
+
+def test_a_generator_seed_passes_through_unaltered():
+    # The seed helper hands a Generator on as it is, so a stream shared
+    # by several draws stays one stream.
+    one, two = np.random.default_rng(3), np.random.default_rng(3)
+    first = random_plane(2, one)
+    assert np.array_equal(first.x, random_plane(2, two).x)
+    assert one.random() == two.random()
+    assert np.array_equal(random_hermitian(2, 4), random_hermitian(2, np.random.default_rng(4)))

@@ -1,4 +1,6 @@
-from lagidx import DegenerateCrossing, verify
+import pytest
+
+from lagidx import DegenerateCrossing, ValidationError, verify
 
 
 def test_shrinker_draws_children_of_the_failing_trial(monkeypatch):
@@ -31,6 +33,28 @@ def test_redrawn_check_redraws_then_reports():
     assert not ok
     assert details == {"error": "degenerate sample"}
     assert len(calls) == verify._DEGENERATE_RETRIES + 1
+
+
+# A grid with no dimension or no trial would report ok with nothing run;
+# a negative seed or a dimension of 0 would end in numpy's ValueError.
+BAD_GRIDS = {
+    "trials-0": {"trials": 0},
+    "trials--2": {"trials": -2},
+    "trials-2.5": {"trials": 2.5},
+    "no-dimension": {"n_values": []},
+    "dimension-0": {"n_values": [0]},
+    "seed--1": {"seed": -1},
+    "seed-str": {"seed": "a"},
+}
+
+
+@pytest.mark.parametrize("entry", ["run_check", "run_suite"])
+@pytest.mark.parametrize("name", sorted(BAD_GRIDS))
+def test_runs_that_would_check_nothing_raise_validation_error(entry, name):
+    grid = {"n_values": [1], "trials": 1, "seed": 0} | BAD_GRIDS[name]
+    first = "bounds" if entry == "run_check" else "axioms"
+    with pytest.raises(ValidationError, match=f"^{entry}: "):
+        getattr(verify, entry)(first, **grid)
 
 
 def test_decompose_reconstruct_check():
