@@ -176,22 +176,6 @@ def _parse_n_range(text: str) -> list[int]:
         raise ValidationError(f"bad dimension range {text!r}") from exc
 
 
-def _int_at_least(low: int, text: str) -> int:
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(1, text)
-
-
-def _seed(text: str) -> int:
-    """A seed for ``np.random.default_rng``, which refuses negative integers."""
-    return _int_at_least(0, text)
-
-
 def _cmd_verify(args) -> int:
     tol = _tolerance_from(args)
     suites = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
@@ -247,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", default="all",
                        choices=("all", *verify_mod.SUITES))
     p_ver.add_argument("--n", default="1..6", help="dimension range, e.g. 1..6 or 2,4")
-    p_ver.add_argument("--trials", type=_positive_int, default=25)
-    p_ver.add_argument("--seed", type=_seed, default=0)
+    p_ver.add_argument("--trials", type=int, default=25)
+    p_ver.add_argument("--seed", type=int, default=0)
     _add_common(p_ver)
     p_ver.set_defaults(fn=_cmd_verify)
 

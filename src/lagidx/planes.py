@@ -175,10 +175,16 @@ def apply_symplectic(s, plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_T
     return plane_from_stacked(sm @ plane.stacked, tol)
 
 
-def _same_dimension(what: str, **planes) -> int:
+def _same_dimension(what: str, sequence=None, /, **planes) -> int:
     """The one check of plane arguments, made before any is read: each keyword
-    names a parameter of the entry point ``what`` (``planes[k]`` an entry of a
-    sequence).  Returns the planes' one dimension n, else ValidationError."""
+    names a parameter of the entry point ``what``, and ``sequence`` a pair
+    (name, list or tuple of at least one plane), its entries named ``name[k]``.
+    Returns the planes' one dimension n, else ValidationError."""
+    if sequence is not None:
+        name, entries = sequence
+        if not (isinstance(entries, (list, tuple)) and entries):
+            raise ValidationError(f"{what}: {name} must be a list or tuple of at least one plane, got {entries!r:.40}")
+        planes |= {f"{name}[{k}]": p for k, p in enumerate(entries)}
     dims = set()
     for name, p in planes.items():
         if not isinstance(p, LagrangianPlane):
@@ -202,7 +208,7 @@ def _candidate_angles(planes, what: str) -> np.ndarray:
     with a_j = arccos(|cos theta_j|) in [0, pi/2], and the candidates are
     both.
     """
-    _same_dimension(what, **{f"planes[{k}]": p for k, p in enumerate(planes)})
+    _same_dimension(what, ("planes", planes))
     xs = np.stack([p.x for p in planes])
     cos2 = np.linalg.eigvalsh(xs.conj().swapaxes(-1, -2) @ xs)
     a = np.arccos(np.minimum(np.sqrt(np.maximum(cos2, 0.0)), 1.0))
@@ -283,7 +289,7 @@ def robin_matrices(planes, epsilons, tol: TolerancePolicy = DEFAULT_TOL) -> np.n
     decided the count-rule rank of the same X + eps Y in closed form; any
     other epsilon goes through :func:`robin_map`.  An asymmetric map
     raises SingularEpsilon, naming the first epsilon that gave one."""
-    _same_dimension("robin_matrices", **{f"planes[{k}]": p for k, p in enumerate(planes)})
+    _same_dimension("robin_matrices", ("planes", planes))
     xs, ys = np.stack([p.x for p in planes]), np.stack([p.y for p in planes])
     eps = np.asarray(epsilons, dtype=float)[:, None, None, None]
     names = [f"Robin map at epsilon {e:.6g}" for e in epsilons]

@@ -72,17 +72,15 @@ def decompose(plane: LagrangianPlane, tol: TolerancePolicy = DEFAULT_TOL) -> Rel
 
 def reconstruct(parts: RelationParts, tol: TolerancePolicy = DEFAULT_TOL) -> LagrangianPlane:
     """Plane {(x, Lx + y) : x in dom, y in mul} rebuilt from its parts."""
-    p = as_hermitian(parts.dom_projector, tol, "domain projector")
+    p = _as_projector(parts.dom_projector, tol, "domain projector")
     op = _as_finite_matrix(parts.operator_part, "operator part")
     _same_shape((p, op), "reconstruct")
     mul_dim = _as_dimension(parts.mul_dim, "reconstruct: mul_dim", 0)
     w, v = np.linalg.eigh(p)
-    if np.any(np.abs(w * (1.0 - w)) > tol.residual_tol):
-        raise ValidationError("dom_projector is not a projector")
     u_mul = v[:, w < 0.5]
     u_dom = v[:, w >= 0.5]
     if u_mul.shape[1] != mul_dim:
-        raise ValidationError("mul_dim does not match the projector rank")
+        raise ValidationError(f"reconstruct: mul_dim {mul_dim} does not match the projector rank")
     n = p.shape[0]
     x = np.hstack([u_dom, np.zeros((n, mul_dim))])
     y = np.hstack([op @ u_dom, u_mul])

@@ -403,10 +403,9 @@ def check_endpoint_conventions(n, rng, tol):
 
 @_redrawn
 def check_extremal(n, rng, tol):
-    l0, l1 = sample_plane(n, rng, tol), sample_plane(n, rng, tol)
-    m = sample_plane(n, rng, tol)
-    rec = ms.extremal_check(l0, l1, m, trials=2, tol=tol, seed=int(rng.integers(2 ** 31)))
-    return rec.holds, rec.details
+    l0, l1, m = _sample_triple(n, rng, tol)
+    waypoints = [sample_plane(n, rng, tol) for _ in range(int(rng.integers(1, 4)))]
+    return _holds(ms.extremal_check(l0, l1, m, waypoints, tol))
 
 
 SUITES: dict[str, list] = {
@@ -527,15 +526,18 @@ def _minimize(check_fn, n: int, entropy: list, tol) -> dict | None:
 
 def _grid(n_values, trials, seed, what: str) -> tuple[list[int], int, int]:
     """The dimensions, trials and seed (a ``SeedSequence`` word) of a run that checks something."""
+    if not (isinstance(n_values, (list, tuple, range)) and n_values):
+        raise ValidationError(f"{what}: n_values must be a list, tuple or range of at least one dimension, "
+                              f"got {n_values!r}")
     ns = [_as_dimension(n, f"{what}: n_values entry") for n in n_values]
-    if not ns:
-        raise ValidationError(f"{what}: n_values names no dimension")
     return ns, _as_dimension(trials, f"{what}: trials"), _as_dimension(seed, f"{what}: seed", 0)
 
 
 def run_check(check_name: str, n_values, trials: int, seed: int = 0,
               tol: TolerancePolicy = DEFAULT_TOL, minimize: bool = True) -> list[Failure]:
     """Run one named check over the grid of dimensions and trials."""
+    if check_name not in _CHECK_FNS:
+        raise ValidationError(f"run_check: unknown check {check_name!r}")
     n_values, trials, seed = _grid(n_values, trials, seed, "run_check")
     fn = _CHECK_FNS[check_name]
     cid = _CHECK_IDS[check_name]
@@ -557,7 +559,7 @@ def run_check(check_name: str, n_values, trials: int, seed: int = 0,
 def run_suite(suite: str, n_values=(1, 2, 3, 4, 5, 6), trials: int = 25, seed: int = 0,
               tol: TolerancePolicy = DEFAULT_TOL, minimize: bool = True) -> SuiteReport:
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; available: {', '.join(SUITES)}")
+        raise ValidationError(f"run_suite: unknown suite {suite!r}; available: {', '.join(SUITES)}")
     n_values, trials, seed = _grid(n_values, trials, seed, "run_suite")
     report = SuiteReport(suite, trials, n_values, seed,
                          checks=[name for name, _ in SUITES[suite]])

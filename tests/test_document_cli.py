@@ -255,22 +255,19 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     for n_text in ("x", "1..x", "1,,2"):
         assert main(["verify", "--suite", "graphs", "--n", n_text, "--trials", "1"]) == 2
         assert "bad dimension range" in capsys.readouterr().err
-    # Zero or negative trials would run nothing and still report "ok".
+    # Zero or negative trials would run nothing and still report "ok";
+    # run_suite refuses them.
     for trials in ("0", "-3"):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "graphs", "--trials", trials])
-        assert exc.value.code == 2
-        assert "must be at least 1" in capsys.readouterr().err
+        assert main(["verify", "--suite", "graphs", "--trials", trials]) == 2
+        assert "run_suite: trials must be an integer of at least 1" in capsys.readouterr().err
 
 
 def test_cli_refuses_a_negative_seed(sample_doc, capsys):
-    # np.random.default_rng refuses a negative seed; the parser must
-    # refuse it first, with the usage exit code and no traceback.
+    # np.random.SeedSequence refuses a negative seed; run_suite must refuse
+    # it first, with the validation exit code and no traceback.
     argv = ["verify", "--suite", "graphs", "--n", "1", "--trials", "1"]
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--seed", "-1"])
-    assert exc.value.code == 2
-    assert "must be at least 0, got -1" in capsys.readouterr().err
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert "run_suite: seed must be an integer of at least 0, got -1" in capsys.readouterr().err
     assert main([*argv, "--seed", "0"]) == 0
     capsys.readouterr()
     # The index algorithms draw nothing, so `index` has no --seed at all.

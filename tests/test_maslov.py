@@ -408,13 +408,16 @@ def test_zwz_identity(rng):
 
 
 def test_extremal_inequality(rng):
-    rec = extremal_check(horizontal_plane(1), scalar_graph(1), scalar_graph(1.5),
-                         trials=4, seed=2)
+    l0, l1, m = horizontal_plane(1), scalar_graph(1), scalar_graph(1.5)
+    # On its way up, a detour through graph(2) crosses graph(1.5) once; one
+    # through graph(0.5) does not cross it.
+    rec = extremal_check(l0, l1, m, [scalar_graph(2)])
     assert rec.holds
-    assert all(v >= rec.rhs for v in rec.details["samples"])
+    assert (rec.lhs, rec.rhs, rec.details["detour"]) == (0, 0, 1)
+    assert extremal_check(l0, l1, m, (scalar_graph(0.5),)).details["detour"] == 0
     # loops based at one plane have nonnegative index against any reference
     plane = random_plane(2, rng)
-    rec = extremal_check(plane, plane, random_plane(2, rng), trials=2, seed=3)
+    rec = extremal_check(plane, plane, random_plane(2, rng), [random_plane(2, rng) for _ in range(3)])
     assert rec.holds and rec.rhs == 0
 
 

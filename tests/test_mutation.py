@@ -1,10 +1,11 @@
 """Mutation resistance: deliberately broken builds must be caught by the
 verification suites.  Each mutant flips one structural choice (a sign in
 the Robin-map combination, the endpoint conventions of the crossing
-count, or the symplectic pairing convention) and at least one suite has
-to report failures.
+count, the symplectic pairing convention, or the direction of the
+extremal inequality) and at least one suite has to report failures.
 """
 
+import dataclasses
 import sys
 
 import pytest
@@ -71,3 +72,16 @@ def test_pairing_convention_is_caught(monkeypatch, mutant):
     assert omega([1, 0], [0, 1]) != 1, "mutated pairing escaped omega"
     assert not run_light("axioms").ok, "mutated pairing escaped the axiom suite"
     assert not run_light("maslov-zwz").ok, "mutated pairing escaped the Maslov suite"
+
+
+def test_extremal_inequality_flip_is_caught(monkeypatch):
+    assert run_light("extremal").ok
+    original = lagidx.maslov.extremal_check
+
+    def flipped(l0, l1, m, waypoints, tol):
+        rec = original(l0, l1, m, waypoints, tol)
+        return dataclasses.replace(rec, holds=rec.lhs == rec.rhs and rec.details["detour"] <= rec.rhs)
+
+    monkeypatch.setattr(lagidx.maslov, "extremal_check", flipped)
+    report = run_light("extremal")
+    assert not report.ok, "a flipped extremal inequality escaped the extremal suite"

@@ -62,12 +62,14 @@ def test_decompose_reconstruct_roundtrip(rng, tol):
             assert np.allclose(p @ parts.operator_part @ p, parts.operator_part, atol=1e-9)
 
 
-@pytest.mark.parametrize("parts", [
-    RelationParts(np.eye(2), np.eye(3), 0),     # operator part of another size
-    RelationParts(np.diag([1.0, 0.0]), np.zeros((2, 2)), 1.0),  # mul_dim is not an integer
-], ids=["operator-shape", "float-mul-dim"])
-def test_reconstruct_refuses_malformed_parts(parts, tol):
-    with pytest.raises(ValidationError):
+@pytest.mark.parametrize("parts,message", [
+    (RelationParts(np.eye(2), np.eye(3), 0), "matrix shapes"),  # operator part of another size
+    (RelationParts(np.diag([1.0, 0.0]), np.zeros((2, 2)), 1.0), "mul_dim must be an integer"),
+    (RelationParts(np.diag([1.0, 0.5]), np.zeros((2, 2)), 1), "domain projector is not idempotent"),
+    (RelationParts(np.diag([1.0, 0.0]), np.zeros((2, 2)), 0), "mul_dim 0 does not match the projector rank"),
+], ids=["operator-shape", "float-mul-dim", "not-a-projector", "mul-dim-off-the-rank"])
+def test_reconstruct_refuses_malformed_parts(parts, message, tol):
+    with pytest.raises(ValidationError, match=message):
         reconstruct(parts, tol)
 
 

@@ -70,7 +70,13 @@ from lagidx import (
     zwz_check,
 )
 from lagidx.maslov import crossing_form
-from lagidx.planes import epsilon_select, pairing_matrix, transversal_companion, transversal_normalization
+from lagidx.planes import (
+    epsilon_select,
+    pairing_matrix,
+    robin_matrices,
+    transversal_companion,
+    transversal_normalization,
+)
 
 RNG = np.random.default_rng(5)
 H = np.array([[1.0, 2j, 0.5], [-2j, 3.0, 1 - 1j], [0.5, 1 + 1j, -1.0]])  # Hermitian, invertible
@@ -127,7 +133,8 @@ MISMATCHED = {
     "find_crossings": lambda: find_crossings(PATH2, L3),
     "crossing_form": lambda: crossing_form(PATH2, 0.5, L3),
     "zwz_check": lambda: zwz_check(PATH2, K2, L3),
-    "extremal_check": lambda: extremal_check(L2, M2, L3, trials=2, seed=0),
+    "extremal_check": lambda: extremal_check(L2, M2, L3, [K2]),
+    "extremal_check-waypoint": lambda: extremal_check(L2, M2, K2, [K2, L3]),
 }
 
 BAD_DIMENSIONS = {
@@ -311,16 +318,17 @@ def test_custom_path_needs_one_frame_per_knot():
 
 # Every public function of the ``lagidx`` namespace, read through its
 # signature, so that a new entry point is probed without editing this
-# list: each LagrangianPlane parameter, each count and each seed gets
-# values it must refuse, every other parameter a valid value chosen by
-# its name.  The ValidationError must name the entry point and the
-# parameter, as "<entry point>: <parameter> ...".
+# list: each LagrangianPlane parameter, each sequence of planes, each
+# count and each seed gets values it must refuse, every other parameter a
+# valid value chosen by its name.  The ValidationError must name the
+# entry point and the parameter, as "<entry point>: <parameter> ...".
 BAD_VALUES = {
     "plane": {"array": np.eye(2), "None": None, "str": "a"},
+    "planes": {"empty": [], "None": None, "plane": K2},
     "count": {"float": 2.5, "str": "a", "negative": -1},
     "seed": {"str": "a", "negative": -1},
 }
-COUNTS, SEEDS = {"n", "mul_dim", "trials"}, {"seed", "rng"}
+COUNTS, SEEDS, SEQUENCES = {"n", "mul_dim"}, {"seed", "rng"}, {"waypoints"}
 # Parameters the probe leaves out, each with its reason.
 LEFT_OUT = {
     ("duistermaat", "seed"): "accepted and unused: every index algorithm draws nothing",
@@ -329,7 +337,7 @@ LEFT_OUT = {
 }
 # A valid value for each parameter without a default that is not a plane.
 VALID = {"n": 2, "mul_dim": 1, "rng": 0, "a": np.diag([1.0, -1.0]), "s": np.eye(4),
-         "epsilon": 0.5, "order": "graph_first", "path": PATH2, "t0": 0.5}
+         "epsilon": 0.5, "order": "graph_first", "path": PATH2, "t0": 0.5, "waypoints": [K2]}
 
 
 def _kind(fn_name, parameter):
@@ -337,6 +345,8 @@ def _kind(fn_name, parameter):
         return None
     if parameter.annotation in (LagrangianPlane, "LagrangianPlane"):
         return "plane"
+    if parameter.name in SEQUENCES:
+        return "planes"
     return "count" if parameter.name in COUNTS else "seed" if parameter.name in SEEDS else None
 
 
@@ -388,10 +398,20 @@ def test_plane_count_and_seed_arguments_raise_validation_error_naming_them(name,
     assert str(info.value).startswith(f"{name}: {param} ")
 
 
-@pytest.mark.parametrize("trials", [0, -1, 2.5, "a"])
-def test_extremal_check_refuses_a_trials_that_draws_no_sample(trials):
-    with pytest.raises(ValidationError, match="^extremal_check: trials "):
-        extremal_check(L2, M2, K2, trials=trials, seed=0)
+# The selections and the Robin stack take a list or tuple of planes; they
+# live in ``lagidx.planes``, outside the namespace the probe reads.
+PLANE_SEQUENCES = {
+    "epsilon_select": epsilon_select,
+    "transversal_companion": transversal_companion,
+    "robin_matrices": lambda planes: robin_matrices(planes, (0.5,)),
+}
+
+
+@pytest.mark.parametrize("planes", [None, [], L2, [L2, np.eye(2)]], ids=["None", "empty", "plane", "array-entry"])
+@pytest.mark.parametrize("name", sorted(PLANE_SEQUENCES))
+def test_plane_sequences_raise_validation_error_naming_them(name, planes):
+    with pytest.raises(ValidationError, match=f"^{name}: planes"):
+        PLANE_SEQUENCES[name](planes)
 
 
 def test_a_generator_seed_passes_through_unaltered():

@@ -36,8 +36,10 @@ def test_redrawn_check_redraws_then_reports():
 
 
 # A grid with no dimension or no trial would report ok with nothing run;
-# a negative seed or a dimension of 0 would end in numpy's ValueError.
+# a negative seed or a dimension of 0 would end in numpy's ValueError, and
+# n_values that is not a sequence in a TypeError.
 BAD_GRIDS = {
+    "n_values-int": {"n_values": 3},
     "trials-0": {"trials": 0},
     "trials--2": {"trials": -2},
     "trials-2.5": {"trials": 2.5},
@@ -55,6 +57,12 @@ def test_runs_that_would_check_nothing_raise_validation_error(entry, name):
     first = "bounds" if entry == "run_check" else "axioms"
     with pytest.raises(ValidationError, match=f"^{entry}: "):
         getattr(verify, entry)(first, **grid)
+
+
+@pytest.mark.parametrize("entry", ["run_check", "run_suite"])
+def test_unknown_check_and_suite_names_raise_validation_error(entry):
+    with pytest.raises(ValidationError, match=f"^{entry}: unknown "):
+        getattr(verify, entry)("nope", [1], 1)
 
 
 def test_decompose_reconstruct_check():
