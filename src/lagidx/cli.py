@@ -3,16 +3,16 @@
 Subcommands: ``index`` (triple indices), ``relation`` (relation calculus),
 ``maslov`` (path crossings and index), ``verify`` (seeded identity
 suites).  Exit codes: 0 success, 2 validation failure, 3 method
-disagreement, 4 degenerate path data.  The default tolerance profile can
-be overridden with the LAGIDX_TOL_RANK and LAGIDX_TOL_RESIDUAL
-environment variables; explicit flags win over the environment.
+disagreement, 4 degenerate path data.  The ``index`` methods are the
+keys of ``indices.METHODS``, written with a hyphen for the underscore,
+and the tolerance profile comes from ``--tol-rank`` and
+``--tol-residual`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import document as doc
@@ -24,8 +24,8 @@ from .errors import (
     UnresolvedCluster,
     ValidationError,
 )
-from .hermitian import TolerancePolicy
-from .indices import duistermaat
+from .hermitian import DEFAULT_TOL, TolerancePolicy
+from .indices import METHODS, duistermaat
 from .maslov import find_crossings, index_from_crossings
 from .relations import compress, decompose, difference, inverse
 
@@ -34,28 +34,22 @@ EXIT_VALIDATION = 2
 EXIT_DISAGREEMENT = 3
 EXIT_DEGENERATE = 4
 
-METHOD_FLAGS = {"robin": "robin", "omega": "omega", "reduce": "reduce", "closed-form": "closed_form"}
+# The number of names each relation op takes, and the refusal of any other number.
+RELATION_NAMES = {"difference": (2, "difference needs two plane names"),
+                  "inverse": (1, "inverse needs one plane name"),
+                  "decompose": (1, "decompose needs one plane name"),
+                  "compress": (2, "compress needs a matrix name and a projector name")}
 
 
-def _tolerance_from(args) -> TolerancePolicy:
-    given = {}
-    for name, flag, variable in (("rank_rel_tol", args.tol_rank, "LAGIDX_TOL_RANK"),
-                                 ("residual_tol", args.tol_residual, "LAGIDX_TOL_RESIDUAL")):
-        if flag is not None:
-            given[name] = flag
-        elif (text := os.environ.get(variable)) is not None:
-            try:
-                given[name] = float(text)
-            except ValueError:
-                raise ValidationError(f"{variable} must be a number, got {text!r}") from None
-    return TolerancePolicy(**given)
+def _flag(method: str) -> str:
+    return method.replace("_", "-")
 
 
 def _add_common(parser):
-    parser.add_argument("--tol-rank", type=float, default=None,
-                        help="relative rank cutoff (default 1e-9)")
-    parser.add_argument("--tol-residual", type=float, default=None,
-                        help="residual tolerance (default 1e-8)")
+    parser.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel_tol,
+                        help="relative rank cutoff (default %(default)s)")
+    parser.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual_tol,
+                        help="residual tolerance (default %(default)s)")
     parser.add_argument("--output", choices=("text", "machine"), default="text")
 
 
@@ -67,11 +61,10 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _cmd_index(args) -> int:
-    tol = _tolerance_from(args)
+def _cmd_index(args, tol: TolerancePolicy) -> int:
     document = doc.load(args.input, tol)
     planes = [document.plane(name) for name in args.planes]
-    method = METHOD_FLAGS[args.method]
+    method = args.method.replace("-", "_")
     report = duistermaat(*planes, tol=tol, method=method)
     payload = {
         "value": report.value,
@@ -81,57 +74,44 @@ def _cmd_index(args) -> int:
     lines = [f"value: {report.value}",
              f"method: {report.method}",
              f"epsilon: {report.epsilon_used if report.epsilon_used is not None else '-'}"]
+    agree = True
     if args.cross_check:
         others = {}
-        for name, key in METHOD_FLAGS.items():
+        for key in METHODS:
             if key == method:
                 continue
             try:
-                others[name] = duistermaat(*planes, tol=tol, method=key).value
+                others[_flag(key)] = duistermaat(*planes, tol=tol, method=key).value
             except ValidationError:
-                others[name] = None  # closed form does not apply to non-graph planes
+                others[_flag(key)] = None  # closed form does not apply to non-graph planes
         payload["cross_check"] = others
         agree = all(v in (None, report.value) for v in others.values())
         comparison = " ".join(f"{k}={v if v is not None else 'n/a'}" for k, v in sorted(others.items()))
         lines.append(f"cross-check: {comparison} -> {'agree' if agree else 'DISAGREE'}")
-        if not agree:
-            _emit(args, payload, lines)
-            return EXIT_DISAGREEMENT
     _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK if agree else EXIT_DISAGREEMENT
 
 
-def _cmd_relation(args) -> int:
-    tol = _tolerance_from(args)
+def _cmd_relation(args, tol: TolerancePolicy) -> int:
     document = doc.load(args.input, tol)
-    op = args.op
-    result_name = args.result_name
+    op, names = args.op, args.names
+    count, refusal = RELATION_NAMES[op]
+    if len(names) != count:
+        raise ValidationError(refusal)
     if op == "difference":
-        if len(args.names) != 2:
-            raise ValidationError("difference needs two plane names")
-        plane = difference(document.plane(args.names[0]), document.plane(args.names[1]), tol)
-        out = doc.new_document({result_name: doc.plane_entry(plane)})
+        plane = difference(document.plane(names[0]), document.plane(names[1]), tol)
+        out = doc.new_document({"result": doc.plane_entry(plane)})
     elif op == "inverse":
-        if len(args.names) != 1:
-            raise ValidationError("inverse needs one plane name")
-        plane = inverse(document.plane(args.names[0]))
-        out = doc.new_document({result_name: doc.plane_entry(plane)})
+        out = doc.new_document({"result": doc.plane_entry(inverse(document.plane(names[0])))})
     elif op == "decompose":
-        if len(args.names) != 1:
-            raise ValidationError("decompose needs one plane name")
-        parts = decompose(document.plane(args.names[0]), tol)
+        parts = decompose(document.plane(names[0]), tol)
         out = doc.new_document(
-            {f"{result_name}_dom_projector": doc.hermitian_entry(parts.dom_projector),
-             f"{result_name}_operator_part": doc.hermitian_entry(parts.operator_part)},
+            {"result_dom_projector": doc.hermitian_entry(parts.dom_projector),
+             "result_operator_part": doc.hermitian_entry(parts.operator_part)},
             info={"mul_dim": parts.mul_dim})
-    elif op == "compress":
-        if len(args.names) != 2:
-            raise ValidationError("compress needs a matrix name and a projector name")
-        out_matrix = compress(document.hermitian(args.names[0]),
-                              document.hermitian(args.names[1]), tol)
-        out = doc.new_document({result_name: doc.hermitian_entry(out_matrix)})
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown relation op {op!r}")
+    else:
+        out_matrix = compress(document.hermitian(names[0]), document.hermitian(names[1]), tol)
+        out = doc.new_document({"result": doc.hermitian_entry(out_matrix)})
     text = doc.dumps(out)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -142,8 +122,7 @@ def _cmd_relation(args) -> int:
     return EXIT_OK
 
 
-def _cmd_maslov(args) -> int:
-    tol = _tolerance_from(args)
+def _cmd_maslov(args, tol: TolerancePolicy) -> int:
     document = doc.load(args.input, tol)
     path = document.path(args.path)
     reference = document.plane(args.reference)
@@ -176,8 +155,7 @@ def _parse_n_range(text: str) -> list[int]:
         raise ValidationError(f"bad dimension range {text!r}") from exc
 
 
-def _cmd_verify(args) -> int:
-    tol = _tolerance_from(args)
+def _cmd_verify(args, tol: TolerancePolicy) -> int:
     suites = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     n_values = _parse_n_range(args.n)
     reports = verify_mod.run_suites(suites, n_values, args.trials, args.seed, tol)
@@ -204,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", help="Duistermaat index of three named planes")
     p_index.add_argument("--input", required=True, help="document file")
     p_index.add_argument("--planes", nargs=3, required=True, metavar=("L1", "L2", "L3"))
-    p_index.add_argument("--method", choices=sorted(METHOD_FLAGS), default="omega")
+    p_index.add_argument("--method", choices=sorted(map(_flag, METHODS)), default="omega")
     p_index.add_argument("--cross-check", action="store_true",
                          help="run every method and compare")
     _add_common(p_index)
@@ -212,10 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rel = sub.add_parser("relation", help="relation calculus on named objects")
     p_rel.add_argument("--input", required=True)
-    p_rel.add_argument("--op", choices=("difference", "inverse", "decompose", "compress"),
-                       required=True)
+    p_rel.add_argument("--op", choices=tuple(RELATION_NAMES), required=True)
     p_rel.add_argument("--names", nargs="+", required=True)
-    p_rel.add_argument("--result-name", default="result")
     p_rel.add_argument("--out", default=None, help="write the output document to a file")
     _add_common(p_rel)
     p_rel.set_defaults(fn=_cmd_relation)
@@ -243,7 +219,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, TolerancePolicy(args.tol_rank, args.tol_residual))
     except (DegenerateCrossing, UnresolvedCluster) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -14,6 +14,9 @@ Algorithms:
   term as the Morse index of the graph matrix
   B(La, W) = P(La, W) · P(L4, W)^-1 · P(L4, La), P = pairing_matrix, that
   the middle plane W has once La is horizontal and L4 vertical.
+
+``METHODS`` maps these and ``closed_form`` (three graphs) to their
+functions, in the order that ``lagidx index --cross-check`` reports them.
 """
 
 from __future__ import annotations
@@ -225,28 +228,32 @@ def _graphs_index(am, bm, cm, tol: TolerancePolicy) -> int:
             + trusted_inertia(cm - bm, tol).n_minus)
 
 
+def _closed_form(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
+                 tol: TolerancePolicy) -> IndexReport:
+    """:func:`duistermaat_graphs` of the operator parts of three planes that ``duistermaat`` checked."""
+    parts = [decompose(p, tol) for p in (l1, l2, l3)]
+    if any(q.mul_dim for q in parts):
+        raise ValidationError("closed_form needs all three planes to be graphs")
+    value = _check_bounds(_graphs_index(*(q.operator_part for q in parts), tol), l1.n, "closed_form")
+    return IndexReport(value, "closed_form")
+
+
+METHODS = {"robin": duistermaat_robin, "omega": duistermaat_omega,
+           "reduce": duistermaat_reduce, "closed_form": _closed_form}
+
+
 def duistermaat(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,
                 tol: TolerancePolicy = DEFAULT_TOL, method: str = "omega",
                 seed=None) -> IndexReport:
-    """Dispatch a triple to one of the index algorithms.
+    """Evaluate a triple by one of the :data:`METHODS`.
 
     ``closed_form`` requires all three planes to be graphs (transversal
     to the vertical plane).  ``seed`` is accepted and unused.
     """
-    n = _same_dimension("duistermaat", l1=l1, l2=l2, l3=l3)
-    if method == "omega":
-        return duistermaat_omega(l1, l2, l3, tol)
-    if method == "robin":
-        return duistermaat_robin(l1, l2, l3, tol, seed)
-    if method == "reduce":
-        return duistermaat_reduce(l1, l2, l3, tol, seed)
-    if method == "closed_form":
-        parts = [decompose(p, tol) for p in (l1, l2, l3)]
-        if any(q.mul_dim for q in parts):
-            raise ValidationError("closed_form needs all three planes to be graphs")
-        value = _check_bounds(_graphs_index(*(q.operator_part for q in parts), tol), n, "closed_form")
-        return IndexReport(value, "closed_form")
-    raise ValidationError(f"unknown method {method!r}")
+    _same_dimension("duistermaat", l1=l1, l2=l2, l3=l3)
+    if not (isinstance(method, str) and method in METHODS):
+        raise ValidationError(f"unknown method {method!r}")
+    return METHODS[method](l1, l2, l3, tol)
 
 
 def kashiwara(l1: LagrangianPlane, l2: LagrangianPlane, l3: LagrangianPlane,

@@ -20,6 +20,7 @@ from . import maslov as ms
 from .errors import DegenerateCrossing, LagidxError, UnresolvedCluster, ValidationError
 from .hermitian import DEFAULT_TOL, TolerancePolicy, _as_dimension, inertia, random_hermitian
 from .indices import (
+    METHODS,
     coboundary,
     duistermaat,
     duistermaat_graphs,
@@ -299,7 +300,7 @@ def check_truth_table(n, rng, tol):
     for scalars in permutations((0.0, 1.0, 2.0)):
         planes = tuple(graph_plane(np.array([[s]]), tol) for s in scalars)
         values = {method: duistermaat(*planes, tol=tol, method=method).value
-                  for method in ("omega", "robin", "reduce", "closed_form")}
+                  for method in METHODS}
         got[scalars] = values
         ok = ok and all(v == expected[scalars] for v in values.values())
     boundary = duistermaat_graphs(np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]]), tol=tol)
@@ -570,4 +571,8 @@ def run_suite(suite: str, n_values=(1, 2, 3, 4, 5, 6), trials: int = 25, seed: i
 
 def run_suites(suites, n_values=(1, 2, 3, 4, 5, 6), trials: int = 25, seed: int = 0,
                tol: TolerancePolicy = DEFAULT_TOL) -> list[SuiteReport]:
+    """Run the named suites in order, once every name is known to be a suite."""
+    for s in suites:
+        if s not in SUITES:
+            raise ValidationError(f"run_suites: unknown suite {s!r}; available: {', '.join(SUITES)}")
     return [run_suite(s, n_values, trials, seed, tol) for s in suites]

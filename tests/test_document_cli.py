@@ -7,9 +7,18 @@ import numpy as np
 import pytest
 
 import lagidx
-from lagidx import ValidationError, graph_plane, horizontal_plane, planes_equal, random_plane, vertical_plane
+from lagidx import (
+    NotLagrangian,
+    ValidationError,
+    graph_plane,
+    horizontal_plane,
+    planes_equal,
+    random_plane,
+    vertical_plane,
+)
 from lagidx import document as doc
-from lagidx.cli import main
+from lagidx.cli import RELATION_NAMES, main
+from lagidx.indices import METHODS
 
 
 @pytest.fixture
@@ -64,6 +73,14 @@ def malformed_documents() -> list:
         custom_path_document([False, True], [eye] * 2),        # grid holds booleans
         doc.new_document({"L": {"type": "plane", "x": [[[True, False]]],  # booleans as numbers
                                 "y": doc.encode_matrix(np.zeros((1, 1)))}}),
+        doc.new_document({"A": {"type": "hermitian", "entries": [[["one", 0.0]]]}}),  # a string entry
+        doc.new_document({"A": {"type": "hermitian", "entries": [[1.0, 0.0]]}}),  # rows are not pairs
+        doc.new_document({"A": {"type": "hermitian", "entries": [[[float("nan"), 0.0]]]}}),  # NaN
+        [doc.new_document({})],                                # root is a list
+        {"schema_version": doc.SCHEMA_VERSION, "objects": []},  # objects is a list
+        doc.new_document({"A": {"type": "tensor"}}),           # unknown object type
+        doc.new_document({"p": {"type": "path", "kind": "spiral"}}),  # unknown path kind
+        doc.new_document({"p": {"type": "path", "kind": "custom", "frames": [eye] * 2}}),  # no grid
     ]
 
 
@@ -72,7 +89,7 @@ def test_loader_validates_planes():
            "objects": {"L": {"type": "plane",
                              "x": doc.encode_matrix(np.eye(1)),
                              "y": doc.encode_matrix(1j * np.eye(1))}}}
-    with pytest.raises(Exception):
+    with pytest.raises(NotLagrangian):
         doc.loads(json.dumps(bad))
     with pytest.raises(ValidationError):
         doc.loads(json.dumps({"schema_version": "99", "objects": {}}))
@@ -338,9 +355,19 @@ def test_cli_maslov(sample_doc, capsys):
     assert "t=0.5" in out
 
 
-def test_cli_maslov_degenerate_exit(sample_doc, capsys):
+def test_cli_maslov_degenerate_exit(sample_doc, tmp_path, capsys):
     assert main(["maslov", "--input", sample_doc, "--path", "const",
                  "--reference", "L0"]) == 4
+    # A tangency whose restricted crossing form has a kernel.
+    tangent = tmp_path / "tangent.json"
+    tangent.write_text(json.dumps(doc.new_document({
+        "seg": {"type": "path", "kind": "graph_segment",
+                "a": doc.encode_matrix(np.array([[0.0, -0.5], [-0.5, 1.0]])),
+                "b": doc.encode_matrix(np.array([[0.0, 0.5], [0.5, 1.0]]))},
+        "H": doc.plane_entry(horizontal_plane(2))})))
+    capsys.readouterr()
+    assert main(["maslov", "--input", str(tangent), "--path", "seg", "--reference", "H"]) == 4
+    assert "has nullity 1" in capsys.readouterr().err
 
 
 def test_cli_cross_check_disagreement_exit(sample_doc, capsys, monkeypatch):
@@ -381,14 +408,37 @@ def test_cli_verify_ok_and_deterministic(capsys):
     assert payload["reports"][0]["failures"] == []
 
 
-def test_cli_tolerance_env_override(sample_doc, capsys, monkeypatch):
-    monkeypatch.setenv("LAGIDX_TOL_RANK", "1e-7")
-    monkeypatch.setenv("LAGIDX_TOL_RESIDUAL", "1e-6")
-    assert main(["index", "--input", sample_doc, "--planes", "L0", "L1", "L2"]) == 0
+def test_cli_tolerance_comes_from_the_flags_alone(sample_doc, capsys, monkeypatch):
+    argv = ["index", "--input", sample_doc, "--planes", "L0", "L1", "L2"]
+    assert main([*argv, "--tol-rank", "1e-7", "--tol-residual", "1e-6"]) == 0
     capsys.readouterr()
-    # A value that is not a number is a validation error naming the variable.
-    for variable in ("LAGIDX_TOL_RANK", "LAGIDX_TOL_RESIDUAL"):
-        monkeypatch.setenv(variable, "abc")
-        assert main(["index", "--input", sample_doc, "--planes", "L0", "L1", "L2"]) == 2
-        assert f"{variable} must be a number, got 'abc'" in capsys.readouterr().err
-        monkeypatch.delenv(variable)
+    for flag, value, field in (("--tol-rank", "2", "rank_rel_tol"), ("--tol-residual", "0", "residual_tol")):
+        assert main([*argv, flag, value]) == 2
+        assert f"{field} must lie strictly between 0 and 1" in capsys.readouterr().err
+    # No environment variable sets a tolerance.
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("LAGIDX_TOL_RANK", "abc")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_cli_cross_check_follows_the_method_table(sample_doc, capsys):
+    argv = ["index", "--input", sample_doc, "--cross-check", "--output", "machine"]
+    for method in METHODS:
+        assert main([*argv, "--planes", "L0", "L2", "L1", "--method", method.replace("_", "-")]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == 1
+        assert list(payload["cross_check"]) == [m.replace("_", "-") for m in METHODS if m != method]
+    # Linf is not a graph, so the closed form does not apply and is left out of the comparison.
+    assert main([*argv, "--planes", "L0", "L1", "Linf"]) == 0
+    assert json.loads(capsys.readouterr().out)["cross_check"]["closed-form"] is None
+    assert main(["index", "--input", sample_doc, "--planes", "L0", "L1", "Linf", "--cross-check"]) == 0
+    assert "closed-form=n/a" in capsys.readouterr().out
+
+
+def test_cli_relation_refuses_a_wrong_number_of_names(sample_doc, capsys):
+    for op, (count, refusal) in RELATION_NAMES.items():
+        names = ["L0", "L1", "L2"][:3 - count]  # one name for a binary op, two for a unary one
+        assert main(["relation", "--input", sample_doc, "--op", op, "--names", *names]) == 2
+        assert refusal in capsys.readouterr().err

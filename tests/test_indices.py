@@ -70,6 +70,15 @@ def test_truth_table_all_methods(scalars, expected):
     assert duistermaat_graphs(a, b, c) == expected
 
 
+def test_method_table():
+    # `lagidx index --cross-check` reports the other methods in this order.
+    assert list(lagidx.indices.METHODS) == ["robin", "omega", "reduce", "closed_form"]
+    planes = tuple(scalar_graph(s) for s in (0, 2, 1))
+    for method in ("nope", "closed-form", ["omega"], None):
+        with pytest.raises(ValidationError, match="unknown method"):
+            duistermaat(*planes, method=method)
+
+
 def test_normalization(rng):
     for n in range(1, 5):
         a = random_hermitian(n, rng)

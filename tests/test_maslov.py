@@ -442,6 +442,15 @@ def test_degenerate_cases_raise():
         find_crossings(path, graph_plane(np.diag([0.5, 0.0])))
 
 
+def test_tangency_with_a_kernel_in_the_restricted_form_is_degenerate():
+    # Against the horizontal plane the pairing is [[0, t - 1/2], [t - 1/2, 1]]:
+    # a double root at t = 1/2, where the intersection is a line on which
+    # the crossing form vanishes.
+    path = graph_segment(np.array([[0.0, -0.5], [-0.5, 1.0]]), np.array([[0.0, 0.5], [0.5, 1.0]]))
+    with pytest.raises(DegenerateCrossing, match="crossing form at t=0.500000000000 has nullity 1"):
+        find_crossings(path, horizontal_plane(2))
+
+
 def test_segment_inside_the_reference_plane_is_degenerate(rng):
     # The constant segment at A lies wholly inside graph(A): the pencil is
     # rounding noise on the whole piece and must not give "no crossings".

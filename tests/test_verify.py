@@ -59,10 +59,19 @@ def test_runs_that_would_check_nothing_raise_validation_error(entry, name):
         getattr(verify, entry)(first, **grid)
 
 
-@pytest.mark.parametrize("entry", ["run_check", "run_suite"])
+@pytest.mark.parametrize("entry", ["run_check", "run_suite", "run_suites"])
 def test_unknown_check_and_suite_names_raise_validation_error(entry):
+    name = ["nope"] if entry == "run_suites" else "nope"
     with pytest.raises(ValidationError, match=f"^{entry}: unknown "):
-        getattr(verify, entry)("nope", [1], 1)
+        getattr(verify, entry)(name, [1], 1)
+
+
+def test_run_suites_checks_every_name_before_it_runs_a_suite(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "run_check", lambda *args, **kwargs: calls.append(args) or [])
+    with pytest.raises(ValidationError, match="^run_suites: unknown suite 'nope'"):
+        verify.run_suites(["axioms", "nope"])
+    assert calls == []
 
 
 def test_decompose_reconstruct_check():
